@@ -32,7 +32,8 @@ from repro.baselines.comparison import (
     defences_from_summaries,
     render_sweep,
 )
-from repro.baselines.naive_bayes import NaiveBayesFilter, score_classifier
+from repro.baselines.naive_bayes import score_classifier
+from repro.core.filters.content import NaiveBayesFilter
 from repro.experiments import RunSpec, run_specs
 from repro.util.render import TextTable
 

@@ -2,7 +2,7 @@
 """Profile one full simulation + report generation with cProfile.
 
 Future perf PRs should start from this data instead of guessing: the
-harness runs ``run_simulation`` at a chosen preset, renders every report
+harness runs one :class:`RunSpec` at a chosen preset, renders every report
 off the resulting store, and prints the top cumulative hotspots of each
 stage separately (the simulation and the analysis have very different
 profiles and optimising one tells you nothing about the other).
@@ -28,7 +28,7 @@ sys.path.insert(
     0, str(pathlib.Path(__file__).resolve().parent.parent / "src")
 )
 
-from repro.experiments import run_simulation  # noqa: E402
+from repro.experiments import RunSpec, run  # noqa: E402
 from repro.experiments.registry import run_all  # noqa: E402
 from repro.util.simtime import DAY  # noqa: E402
 
@@ -116,7 +116,7 @@ def main(argv=None) -> int:
 
     sim_profiler = cProfile.Profile()
     sim_profiler.enable()
-    result = run_simulation(
+    spec = RunSpec(
         args.preset,
         seed=args.seed,
         faults=args.faults,
@@ -127,8 +127,11 @@ def main(argv=None) -> int:
             if args.checkpoint_every is not None
             else None
         ),
-        checkpoint_dir=checkpoint_dir,
         shards=args.shards,
+    )
+    result = run(
+        spec,
+        checkpoint_dir=checkpoint_dir,
         shard_jobs=args.shard_jobs,
         spill_dir=spill_dir,
     )

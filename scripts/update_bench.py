@@ -93,13 +93,14 @@ print(json.dumps({{
 
 _SHARD_WORKER_PROBE = """
 import json
-from repro.experiments.runner import run_simulation
-result = run_simulation({preset!r}, seed={seed}, shard_of=({index}, {shards}))
+from repro.experiments.runner import RunSpec
+from repro.experiments.sharded import _run_shard
+outcome = _run_shard({index}, {shards}, RunSpec({preset!r}, seed={seed}), {{}})
 print(json.dumps({{
-    "wall_seconds": result.wall_seconds,
-    "events": result.events_processed,
-    "max_rss_bytes": result.memory_stats.max_rss_bytes,
-    "local_rows": result.shard_stats.local_rows,
+    "wall_seconds": outcome.wall_seconds,
+    "events": outcome.events_processed,
+    "max_rss_bytes": outcome.memory_stats.max_rss_bytes,
+    "local_rows": outcome.shard_stats.local_rows,
 }}))
 """
 

@@ -2,14 +2,14 @@
 
 Kept alongside pyproject.toml so `pip install -e .` works in offline
 environments that lack the `wheel` package (pip falls back to the legacy
-`setup.py develop` path when no [build-system] table is declared).
+`setup.py develop` path when no [build-system] table is declared). The
+version comes from src/repro/_version.py through pyproject.toml.
 """
 
 from setuptools import find_packages, setup
 
 setup(
     name="repro",
-    version="1.0.0",
     description=(
         "Reproduction of 'Measurement and Evaluation of a Real World "
         "Deployment of a Challenge-Response Spam Filter' (IMC 2011)"

@@ -39,8 +39,8 @@ from repro.util.stats import safe_ratio
 #: Row label for the scenario-free (clean weather, no attacks) row.
 CLEAN = "(clean)"
 
-#: Frontier columns: (label, chain argument for ``run_simulation``).
-#: ``None`` is the legacy product build — deliberately, so its runs
+#: Frontier columns: (label, ``RunSpec.chain``).
+#: ``None`` is the product chain — deliberately, so its runs
 #: share cache entries with every other default-chain sweep.
 FRONTIER_CHAINS: Tuple[Tuple[str, object], ...] = (
     ("cr-only", "cr-only"),

@@ -9,12 +9,9 @@ features, trained and evaluated on the same simulated traffic the CR
 product handles, so the two defences can be compared on identical input.
 """
 
-from repro.baselines.naive_bayes import NaiveBayesFilter, TrainingSummary
 from repro.baselines.comparison import compare_defences, DefenceComparison
 
 __all__ = [
-    "NaiveBayesFilter",
-    "TrainingSummary",
     "compare_defences",
     "DefenceComparison",
 ]

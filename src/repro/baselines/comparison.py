@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from itertools import islice
 
 from repro.analysis.store import LogStore
-from repro.baselines.naive_bayes import ClassifierScore, NaiveBayesFilter
+from repro.baselines.naive_bayes import ClassifierScore
+from repro.core.filters.content import NaiveBayesFilter
 from repro.core.message import MessageKind
 from repro.core.spools import Category
 from repro.util.render import TextTable

@@ -3,8 +3,7 @@
 The classifier itself (multinomial NB with Laplace smoothing over
 subject tokens) lives in :mod:`repro.core.filters.content` since PR 9,
 where it doubles as a live chain member; this module keeps the offline
-evaluation machinery (confusion counting over logged dispatch records)
-and re-exports the classifier for backwards compatibility.
+evaluation machinery (confusion counting over logged dispatch records).
 """
 
 from __future__ import annotations
@@ -13,16 +12,9 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from repro.analysis.records import DispatchRecord
-from repro.core.filters.content import (  # noqa: F401  (re-export)
-    NaiveBayesFilter,
-    TrainingSummary,
-    _tokenize,
-)
 from repro.core.message import MessageKind
 
 __all__ = [
-    "NaiveBayesFilter",
-    "TrainingSummary",
     "ClassifierScore",
     "score_classifier",
 ]

@@ -22,10 +22,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from typing import Optional, Sequence
 
 from repro._version import __version__
-from repro.experiments import run_simulation
+from repro.experiments.runner import RunSpec, run
 from repro.experiments.registry import (
     CANONICAL_ORDER,
     EXPERIMENTS,
@@ -357,38 +358,40 @@ def _add_sim_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _spec_from_args(args: argparse.Namespace, **fields) -> RunSpec:
+    """The :class:`RunSpec` the shared simulation flags describe."""
+    return RunSpec(
+        preset=args.preset,
+        seed=args.seed,
+        faults=args.faults,
+        audit=args.audit,
+        crashes=args.crashes,
+        scenario=args.scenario,
+        chain=args.filters,
+        **fields,
+    )
+
+
 def _load_or_run(args: argparse.Namespace):
-    if getattr(args, "load", None):
+    if args.load:
         from repro.analysis.persistence import load_run
 
         return load_run(args.load)
-    if getattr(args, "resume_from", None):
-        # For sharded runs --resume-from names the checkpoint *root*
-        # (each shard resumes from its own shard-<k>/ subdirectory).
-        return run_simulation(
-            resume_from=args.resume_from,
-            shards=getattr(args, "shards", None),
-            shard_jobs=getattr(args, "shard_jobs", None),
-            spill_dir=getattr(args, "spill_dir", None),
-        )
-    checkpoint_every = getattr(args, "checkpoint_every", None)
-    checkpoint_dir = getattr(args, "checkpoint_dir", None)
+    checkpoint_every = args.checkpoint_every
+    checkpoint_dir = args.checkpoint_dir
     if checkpoint_every is not None:
         checkpoint_every *= DAY  # CLI speaks days; the engine sim-seconds
         checkpoint_dir = checkpoint_dir or DEFAULT_CLI_CHECKPOINT_DIR
-    return run_simulation(
-        args.preset,
-        seed=args.seed,
-        faults=getattr(args, "faults", None),
-        audit=getattr(args, "audit", False),
-        crashes=getattr(args, "crashes", None),
-        checkpoint_every=checkpoint_every,
+    # For sharded runs --resume-from names the checkpoint *root* (each
+    # shard resumes from its own shard-<k>/ subdirectory).
+    return run(
+        _spec_from_args(
+            args, checkpoint_every=checkpoint_every, shards=args.shards
+        ),
         checkpoint_dir=checkpoint_dir,
-        shards=getattr(args, "shards", None),
-        shard_jobs=getattr(args, "shard_jobs", None),
-        spill_dir=getattr(args, "spill_dir", None),
-        scenario=getattr(args, "scenario", None),
-        chain=getattr(args, "filters", None),
+        resume_from=args.resume_from,
+        shard_jobs=args.shard_jobs,
+        spill_dir=args.spill_dir,
     )
 
 
@@ -472,7 +475,7 @@ def _command_company(args: argparse.Namespace) -> int:
 def _command_sweep(args: argparse.Namespace) -> int:
     from repro.analysis import variability
     from repro.baselines import comparison
-    from repro.experiments.parallel import ParallelRunner, RunCache, RunSpec
+    from repro.experiments.parallel import ParallelRunner, RunCache
 
     if args.runs < 1:
         print("--runs must be >= 1", file=sys.stderr)
@@ -489,18 +492,7 @@ def _command_sweep(args: argparse.Namespace) -> int:
         f"with jobs={args.jobs} ..."
     )
     summaries = runner.run(
-        [
-            RunSpec(
-                preset=args.preset,
-                seed=seed,
-                faults=args.faults,
-                audit=args.audit,
-                crashes=args.crashes,
-                scenario=args.scenario,
-                chain=args.filters,
-            )
-            for seed in seeds
-        ]
+        [replace(_spec_from_args(args), seed=seed) for seed in seeds]
     )
     failed = [s for s in summaries if s.failed]
     for summary in failed:

@@ -42,7 +42,7 @@ FILTER_MEMBERS = (
     "antivirus", "reverse_dns", "rbl", "spf", "content", "reputation",
 )
 
-#: The legacy product chain — what :class:`FilterSettings` defaults build.
+#: The product chain — what :class:`FilterSettings` defaults build.
 DEFAULT_CHAIN_MEMBERS = ("antivirus", "reverse_dns", "rbl")
 
 #: Named chain compositions the CLI / frontier experiment accept.
@@ -73,10 +73,10 @@ class FilterChainSpec:
     live here rather than on the filters so one spec fully determines
     the chain.
 
-    ``None`` everywhere a chain is accepted means "the legacy
-    :class:`FilterSettings`-gated build" — byte-identical to the
-    pre-spec behaviour, which is what keeps the scenario-free goldens
-    pinned.
+    ``None`` everywhere a chain is accepted means the product chain:
+    the :class:`FilterSettings` toggles that are on, in
+    :data:`FILTER_MEMBERS` order — byte-identical to the pre-spec
+    behaviour, which is what keeps the scenario-free goldens pinned.
     """
 
     members: Tuple[str, ...] = DEFAULT_CHAIN_MEMBERS
@@ -111,7 +111,7 @@ class FilterChainSpec:
     def parse(cls, value) -> "Optional[FilterChainSpec]":
         """Coerce the accepted chain notations into a spec.
 
-        ``None`` passes through (legacy build); specs pass through; a
+        ``None`` passes through (the product chain); specs pass through; a
         string is either a preset name (``"hybrid"``) or a comma list of
         members (``"antivirus,content"``).
         """

@@ -33,11 +33,11 @@ from repro.analysis.records import (
 from repro.analysis.store import LogStore
 from repro.blacklistd.service import DnsblService
 from repro.core.challenge import Challenge, ChallengeManager, WebAction
-from repro.core.config import CompanyConfig, FilterChainSpec
+from repro.core.config import FILTER_MEMBERS, CompanyConfig, FilterChainSpec
 from repro.core.digest import DigestAction, DigestCounters, DigestDecision
 from repro.core.dispatcher import Dispatcher
 from repro.core.filters.antivirus import AntivirusFilter
-from repro.core.filters.base import FilterChain, SpamFilter
+from repro.core.filters.base import FilterChain
 from repro.core.filters.content import OnlineNaiveBayesFilter
 from repro.core.filters.rbl import RblFilter
 from repro.core.filters.reputation import SenderReputationFilter
@@ -160,23 +160,14 @@ class CompanyInstallation:
         chain: Optional[FilterChainSpec] = None,
     ) -> FilterChain:
         settings = self.config.filters
-        if chain is None:
-            # Legacy build: FilterSettings toggles, fixed product order.
-            filters: list[SpamFilter] = []
-            if settings.antivirus:
-                filters.append(
-                    AntivirusFilter(settings.antivirus_detection_rate, rng)
-                )
-            if settings.reverse_dns:
-                filters.append(ReverseDnsFilter(self.resolver))
-            if settings.rbl:
-                filters.append(self._rbl_filter(dnsbl_services, settings))
-            if settings.spf:
-                filters.append(SpfFilter(self.spf_evaluator))
-            return FilterChain(filters)
-
-        # Declarative build: the spec names members in chain order; the
-        # per-company FilterSettings still supply antivirus/RBL tuning.
+        # No declared chain: the product chain, members picked by the
+        # FilterSettings toggles. Either way the per-company settings
+        # supply antivirus/RBL tuning.
+        members = (
+            chain.members
+            if chain is not None
+            else [m for m in FILTER_MEMBERS if getattr(settings, m, False)]
+        )
         builders = {
             "antivirus": lambda: AntivirusFilter(
                 settings.antivirus_detection_rate, rng
@@ -194,7 +185,7 @@ class CompanyInstallation:
                 min_observations=chain.reputation_min_observations,
             ),
         }
-        return FilterChain([builders[member]() for member in chain.members])
+        return FilterChain([builders[member]() for member in members])
 
     def _rbl_filter(
         self, dnsbl_services: Mapping[str, DnsblService], settings

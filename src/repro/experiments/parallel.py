@@ -24,9 +24,10 @@ Three design points worth knowing:
 
 * **Serial bypass.** ``jobs=1`` never touches ``multiprocessing`` at all:
   specs execute inline, in order, in the calling process — bit-for-bit
-  the behaviour of calling :func:`run_simulation` in a loop. The worker
-  pool (preferring the ``fork`` start method so children share the
-  parent's hash seed) is only spun up for two or more uncached specs.
+  the behaviour of calling :func:`~repro.experiments.runner.run` in a
+  loop. The worker pool (preferring the ``fork`` start method so
+  children share the parent's hash seed) is only spun up for two or
+  more uncached specs.
 
 * **The result cache.** Each spec hashes to a key covering the resolved
   scale config, seed, calibration, filter template, config overrides,
@@ -53,15 +54,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from repro._version import __version__
 from repro.analysis.context import DeploymentInfo
 from repro.analysis.persistence import encoded_records
-from repro.analysis.store import TABLES, LogStore
-from repro.core.config import CompanyConfig, FilterChainSpec, FilterSettings
+from repro.analysis.store import LogStore
+from repro.core.config import CompanyConfig
 from repro.core.recovery import latest_checkpoint
-from repro.experiments.runner import SimulationResult, run_simulation
-from repro.workload.calibration import Calibration, DEFAULT_CALIBRATION
-from repro.workload.scale import ScaleConfig, get_preset
+from repro.experiments.runner import RunSpec, SimulationResult, run
 
 #: Default on-disk cache location, relative to the working directory.
 DEFAULT_CACHE_DIR = ".cache/runs"
@@ -69,107 +67,6 @@ DEFAULT_CACHE_DIR = ".cache/runs"
 #: Default root for per-spec checkpoint directories (failed shards of a
 #: sweep resume from here instead of restarting from day 0).
 DEFAULT_CHECKPOINT_ROOT = ".cache/checkpoints"
-
-
-@dataclass(frozen=True)
-class RunSpec:
-    """One independent simulation job: everything ``run_simulation`` needs.
-
-    Attack scenarios ride along declaratively: ``scenario`` names a pack
-    entry (or holds a resolved, hashable
-    :class:`~repro.scenarios.ScenarioSpec`), so scenario sweeps cache
-    and parallelise like every other spec. Raw ``scenarios`` *instances*
-    (arbitrary live objects) still have no place here — express the
-    attack as a spec instead.
-    """
-
-    preset: Union[str, ScaleConfig] = "tiny"
-    seed: int = 7
-    calibration: Optional[Calibration] = None
-    filters_template: Optional[FilterSettings] = None
-    config_overrides: Optional[dict] = None
-    #: Fault-injection preset name (``None`` = reliable substrate). A name
-    #: rather than a :class:`FaultSettings` keeps specs trivially
-    #: picklable and the cache key readable.
-    faults: Optional[str] = None
-    #: Run with the continuous lifecycle auditor on. Part of the cache key
-    #: even though audited output is byte-identical: a cached unaudited
-    #: summary must never satisfy a request to actually *audit* the run.
-    audit: bool = False
-    #: Crash-injection preset name (``None`` = no component crashes); a
-    #: name for the same reasons as ``faults``.
-    crashes: Optional[str] = None
-    #: Snapshot interval in sim-seconds (``None`` = no checkpointing).
-    #: Part of the cache key even though checkpointed output is
-    #: byte-identical: a request to write snapshots must actually execute
-    #: and write them, not be satisfied from the cache.
-    checkpoint_every: Optional[float] = None
-    #: Intra-run company shards (``None`` = the plain single-process
-    #: engine). Cached summaries are digest-identical either way, but a
-    #: request to exercise the sharded data plane must actually run it.
-    shards: Optional[int] = None
-    #: Run with the streaming spill store (a per-spec temporary
-    #: directory). Output is digest-identical to in-memory; in the cache
-    #: key for the same reason as ``audit``.
-    spill: bool = False
-    #: Declarative attack scenario: a pack name or a resolved
-    #: :class:`~repro.scenarios.ScenarioSpec` (``None`` = no scenario).
-    #: Folded into the cache key as the *resolved* spec, so editing a
-    #: scenario's YAML invalidates its cached runs.
-    scenario: object = None
-    #: Filter-chain composition: a preset name, comma list, or resolved
-    #: :class:`~repro.core.config.FilterChainSpec` (``None`` = the legacy
-    #: product chain). Folded into the cache key as the resolved spec.
-    chain: object = None
-    #: Free-form display name (not part of the cache key).
-    label: str = ""
-
-    def resolved_scale(self) -> ScaleConfig:
-        return (
-            get_preset(self.preset)
-            if isinstance(self.preset, str)
-            else self.preset
-        )
-
-    def cache_key(self) -> str:
-        """Content hash of the spec, tied to the package version.
-
-        Built from dataclass ``repr``s, which are deterministic for the
-        frozen config types involved; overrides are sorted so dict
-        insertion order never changes the key.
-        """
-        overrides = sorted((self.config_overrides or {}).items())
-        canonical_fields: tuple = (
-            __version__,
-            self.resolved_scale(),
-            self.seed,
-            self.calibration or DEFAULT_CALIBRATION,
-            self.filters_template,
-            overrides,
-            self.faults,
-            self.audit,
-            self.crashes,
-            self.checkpoint_every,
-        )
-        # Default-folding for fields added after entries were cached: a
-        # spec that leaves them at their defaults hashes exactly as it
-        # did before the fields existed, so old cache entries stay valid.
-        if self.shards is not None:
-            canonical_fields += (("shards", self.shards),)
-        if self.spill:
-            canonical_fields += (("spill", True),)
-        if self.scenario is not None:
-            from repro.scenarios import resolve_scenario
-
-            canonical_fields += (
-                ("scenario", resolve_scenario(self.scenario)),
-            )
-        if self.chain is not None:
-            canonical_fields += (
-                ("chain", FilterChainSpec.parse(self.chain)),
-            )
-        canonical = repr(canonical_fields)
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 @dataclass
@@ -256,48 +153,36 @@ def _execute_spec(
     """Worker entry point: one full simulation, summarised. Module-level
     so the process pool can pickle it.
 
-    With *resume* set, a checkpointing spec first looks for its newest
-    snapshot under its per-spec directory and continues from there — this
-    is how a retried shard avoids redoing the part that already ran.
+    With *resume* set, a checkpointing spec continues from the newest
+    snapshot under its per-spec directory (each shard's own, for a
+    sharded spec) — this is how a retried spec avoids redoing the part
+    that already ran. A spec with nothing to resume from starts over.
     """
     directory = _spec_checkpoint_dir(spec, checkpoint_root)
-    if resume and directory is not None:
-        snapshot = latest_checkpoint(directory)
-        if snapshot is not None:
-            return summarize_result(run_simulation(resume_from=snapshot))
-    spill_dir = tempfile.mkdtemp(prefix="repro-spill-") if spec.spill else None
-    try:
-        result = run_simulation(
-            spec.preset,
-            seed=spec.seed,
-            calibration=spec.calibration,
-            filters_template=spec.filters_template,
-            config_overrides=spec.config_overrides,
-            faults=spec.faults,
-            audit=spec.audit,
-            crashes=spec.crashes,
-            checkpoint_every=spec.checkpoint_every,
+    resume_from = None
+    if resume and directory is not None and _has_snapshots(spec, directory):
+        resume_from = directory
+    return summarize_result(
+        run(
+            spec,
             checkpoint_dir=directory,
-            shards=spec.shards,
+            resume_from=resume_from,
             shard_jobs=1 if spec.shards else None,
-            spill_dir=spill_dir,
-            scenario=spec.scenario,
-            chain=spec.chain,
         )
-        if spill_dir is not None:
-            # The spill directory dies with this call, so pull every
-            # table back into memory before the chunk files disappear.
-            store = result.store
-            for table in TABLES:
-                rows = getattr(store, table)
-                if not isinstance(rows, list):
-                    setattr(store, table, list(rows))
-    finally:
-        if spill_dir is not None:
-            import shutil
+    )
 
-            shutil.rmtree(spill_dir, ignore_errors=True)
-    return summarize_result(result)
+
+def _has_snapshots(spec: RunSpec, directory: str) -> bool:
+    """Whether every process of *spec*'s run left a snapshot under
+    *directory* (each shard writes under its own subdirectory)."""
+    if spec.shards is not None and spec.shards > 1:
+        from repro.experiments.sharded import shard_directory
+
+        return all(
+            latest_checkpoint(shard_directory(directory, index))
+            for index in range(spec.shards)
+        )
+    return latest_checkpoint(directory) is not None
 
 
 class RunCache:

@@ -1,34 +1,47 @@
-"""Run one full simulated deployment and collect its measurement logs.
+"""Describe one simulated deployment, build it, run it, collect its logs.
 
-``run_simulation`` is the single entry point used by tests, benchmarks, and
-examples: it builds the world, instantiates one
-:class:`~repro.core.engine.CompanyInstallation` per company, seeds the
-steady-state whitelists/blacklists, arms the blacklist probe monitor and the
-trace generator, runs the clock over the observation window (plus a drain
-period for in-flight challenge retries), and returns everything the analysis
-pipeline needs.
+A :class:`RunSpec` is the one description of a run. :func:`run` executes
+it: :func:`build_deployment` builds the world and installs and seeds one
+:class:`~repro.core.engine.CompanyInstallation` per company, then the
+runner arms the blacklist probe monitor and the trace generator, runs
+the clock over the observation window (plus a drain period for in-flight
+challenge retries), and returns everything the analysis pipeline needs.
+:func:`run_simulation` is the one-line form used by tests, benchmarks
+and examples; the live server builds its deployment through
+:func:`build_deployment` too.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import resource
+import shutil
 import sys
+import tempfile
 import time
-from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass, fields, replace
+from typing import NamedTuple, Optional, Union
 
+from repro._version import __version__
 from repro.analysis.context import DeploymentInfo
-from repro.analysis.store import SPILL_CHUNK_ROWS, LogStore, SpillConfig
+from repro.analysis.store import (
+    SPILL_CHUNK_ROWS,
+    TABLES,
+    LogStore,
+    SpillConfig,
+)
 from repro.blacklistd.monitor import BlacklistMonitor
-from repro.core.config import FilterChainSpec
+from repro.core.config import FilterChainSpec, FilterSettings
 from repro.core.engine import CompanyInstallation
 from repro.core.ledger import LedgerError, LedgerSnapshot
 from repro.core.message import reset_msg_ids
 from repro.core.recovery import (
+    CheckpointError,
     Checkpointer,
     CheckpointStats,
     RunState,
+    latest_checkpoint,
     load_checkpoint,
 )
 from repro.net.crashes import CrashPlan, CrashSettings, get_crash_preset
@@ -398,195 +411,288 @@ class SimulationResult:
     scenario: object = None
 
 
-def run_simulation(
-    preset: Union[str, ScaleConfig] = "tiny",
-    seed: int = 7,
-    calibration: Optional[Calibration] = None,
-    filters_template=None,
-    scenarios: Sequence = (),
-    config_overrides: Optional[dict] = None,
-    faults: Union[str, FaultSettings, None] = None,
-    audit: bool = False,
-    crashes: Union[str, CrashSettings, None] = None,
-    checkpoint_every: Optional[float] = None,
-    checkpoint_dir: Optional[str] = None,
-    resume_from: Optional[str] = None,
-    batch_delivery: bool = True,
-    shards: Optional[int] = None,
-    shard_jobs: Optional[int] = None,
-    spill_dir: Optional[str] = None,
-    spill_chunk_rows: Optional[int] = None,
-    shard_of: Optional[tuple] = None,
-    scenario=None,
-    chain=None,
-) -> SimulationResult:
-    """Simulate one deployment at the given scale preset and seed.
+@dataclass(frozen=True)
+class RunSpec:
+    """The one description of a simulation run.
 
-    *filters_template* (a :class:`repro.core.config.FilterSettings`)
-    overrides every company's auxiliary-filter configuration; ablation
-    studies use it to switch individual filters on or off fleet-wide.
-
-    *scenarios* are extra traffic sources — typically
-    :class:`repro.workload.attacks.AttackScenario` instances — installed
-    alongside the regular trace generator.
-
-    *scenario* names a declarative scenario from the YAML pack (or
-    passes a resolved :class:`repro.scenarios.ScenarioSpec` directly):
-    its attacks are built and installed, and its fault/crash/filter
-    settings apply wherever the corresponding explicit argument was left
-    at its default (explicit arguments win). The resolved spec rides on
-    ``SimulationResult.scenario`` for the ``verdicts`` experiment.
-
-    *faults* enables network-weather injection: a fault preset name
-    (``"mild"``, ``"stormy"`` — see
-    :data:`~repro.net.faults.FAULT_PRESETS`), an explicit
-    :class:`~repro.net.faults.FaultSettings`, or ``None``/``"off"``
-    (default) for the perfectly reliable substrate.
-
-    *audit* turns on the continuous lifecycle auditor (per-message state
-    tracking + transition validation in :mod:`repro.core.ledger`);
-    ``REPRO_AUDIT=1`` in the environment does the same. The end-of-run
-    conservation verdict is checked regardless — a violated partition
-    raises :class:`~repro.core.ledger.LedgerError` even with audit off.
-
-    *crashes* enables crash-fault injection inside the product itself: a
-    crash preset name (``"rare"``, ``"flaky"`` — see
-    :data:`~repro.net.crashes.CRASH_PRESETS`), an explicit
-    :class:`~repro.net.crashes.CrashSettings`, or ``None``/``"off"``
-    (default).
-
-    *checkpoint_every* (sim-seconds) arms periodic whole-state snapshots
-    into *checkpoint_dir*; *resume_from* restores such a snapshot and
-    continues the run instead of building a fresh one (every other
-    build-time parameter is then taken from the snapshot). A resumed run
-    produces a byte-identical measurement store to the uninterrupted one.
-
-    *batch_delivery=False* schedules each generated message as its own
-    heap entry instead of one EventBatch per day — same draws, same
-    sort, same ids, so the measurement store must be bit-identical; the
-    engine-batching property tests pin exactly that.
-
-    *shards* > 1 partitions the companies across that many worker
-    processes (DESIGN.md §12) and returns the deterministically merged
-    result — same store digest as ``shards=1``. *shard_jobs* bounds the
-    worker processes (default: one per shard; ``1`` runs the shards
-    sequentially in-process). *spill_dir* bounds the store's resident
-    memory by spilling full chunks of *spill_chunk_rows* records to
-    columnar files under that directory. *shard_of* ``(index, n_shards)``
-    is internal: it marks this invocation as one shard's worker.
-
-    *chain* selects the auxiliary filter-chain composition: a
-    :class:`~repro.core.config.FilterChainSpec`, a preset name
-    (``"hybrid"``), a comma list of members (``"antivirus,content"``),
-    or ``None`` (default) for the legacy :class:`FilterSettings`-gated
-    product chain — which is byte-identical to pre-spec behaviour. A
-    scenario's declared chain applies only when this argument is
-    ``None``.
+    Every field shapes the measurement store. How a run executes — where
+    it spills or checkpoints, what it resumes from, how many shard
+    workers run at once — is left to :func:`run`'s keywords and so stays
+    out of :meth:`cache_key`. Audit, checkpointing, shards and spill do
+    not change the store either, but they are in the key: a request to
+    actually audit, snapshot, shard or spill must not be answered from a
+    cached run that did not.
     """
-    chain = FilterChainSpec.parse(chain)
-    if shard_of is None and shards is not None and shards > 1:
-        from repro.experiments.sharded import run_sharded_simulation
 
-        return run_sharded_simulation(
-            preset,
-            seed=seed,
-            calibration=calibration,
-            filters_template=filters_template,
-            scenarios=scenarios,
-            config_overrides=config_overrides,
-            faults=faults,
-            audit=audit,
-            crashes=crashes,
-            checkpoint_every=checkpoint_every,
-            checkpoint_dir=checkpoint_dir,
-            resume_from=resume_from,
-            batch_delivery=batch_delivery,
-            shards=shards,
-            jobs=shard_jobs,
-            spill_dir=spill_dir,
-            spill_chunk_rows=spill_chunk_rows,
-            scenario=scenario,
-            chain=chain,
+    #: Scale preset name or an explicit :class:`ScaleConfig`.
+    preset: Union[str, ScaleConfig] = "tiny"
+    seed: int = 7
+    #: ``None`` = the paper-calibrated default.
+    calibration: Optional[Calibration] = None
+    #: Fleet-wide :class:`~repro.core.config.FilterSettings` replacing
+    #: every company's own. It also resets the calibrated RBL provider
+    #: and detection rate, which the ablation studies rely on.
+    filters_template: Optional[FilterSettings] = None
+    #: ``CompanyConfig`` field overrides applied to every company.
+    config_overrides: Optional[dict] = None
+    #: Network weather: a preset name (``"mild"``, ``"stormy"``), a
+    #: :class:`~repro.net.faults.FaultSettings`, or ``None`` (reliable).
+    faults: Union[str, FaultSettings, None] = None
+    #: Continuous lifecycle auditor (``REPRO_AUDIT=1`` does the same);
+    #: the end-of-run conservation verdict is enforced regardless.
+    audit: bool = False
+    #: Crash faults inside the product: a preset name (``"rare"``,
+    #: ``"flaky"``), a :class:`~repro.net.crashes.CrashSettings`, or
+    #: ``None``.
+    crashes: Union[str, CrashSettings, None] = None
+    #: Snapshot interval in sim-seconds, into ``run(checkpoint_dir=)``.
+    checkpoint_every: Optional[float] = None
+    #: Company shards (DESIGN.md §12); ``None`` or 1 = one process.
+    shards: Optional[int] = None
+    #: Streaming spill store; without a ``run(spill_dir=)`` the run
+    #: spills to a private temporary directory and loads the tables back
+    #: before returning.
+    spill: bool = False
+    #: Declarative attack scenario: a pack name or a resolved
+    #: :class:`~repro.scenarios.ScenarioSpec`. Its attacks are installed,
+    #: and its weather and filters fill the fields above left at ``None``.
+    #: Keyed as the *resolved* spec, so editing its YAML invalidates it.
+    scenario: object = None
+    #: Filter chain: a preset name (``"hybrid"``), a comma list of
+    #: members, a :class:`~repro.core.config.FilterChainSpec`, or ``None``
+    #: for the product chain the ``FilterSettings`` toggles select.
+    chain: object = None
+    #: Free-form display name (not part of the cache key).
+    label: str = ""
+
+    def resolved_scale(self) -> ScaleConfig:
+        return (
+            get_preset(self.preset)
+            if isinstance(self.preset, str)
+            else self.preset
         )
 
-    started = time.perf_counter()
-    if resume_from is not None:
-        restore_started = time.perf_counter()
-        state = load_checkpoint(resume_from)
-        restore_seconds = time.perf_counter() - restore_started
-        if checkpoint_every is not None and state.checkpointer is None:
-            directory = checkpoint_dir or os.path.dirname(resume_from)
-            checkpointer = Checkpointer(state, directory, checkpoint_every)
-            checkpointer.arm()
-        return _finish_run(
-            state, started,
-            restored_from=resume_from, restore_seconds=restore_seconds,
-        )
+    def cache_key(self) -> str:
+        """Content hash of the spec, tied to the package version.
 
-    audit = audit or os.environ.get("REPRO_AUDIT", "") not in ("", "0")
-    scale = get_preset(preset) if isinstance(preset, str) else preset
-    calibration = calibration or DEFAULT_CALIBRATION
-    scenario_spec = None
-    scenarios = list(scenarios)
-    if scenario is not None:
+        Built from dataclass ``repr``s, which are deterministic for the
+        frozen config types involved; overrides are sorted so dict
+        insertion order never changes the key.
+        """
+        overrides = sorted((self.config_overrides or {}).items())
+        canonical_fields: tuple = (
+            __version__,
+            self.resolved_scale(),
+            self.seed,
+            self.calibration or DEFAULT_CALIBRATION,
+            self.filters_template,
+            overrides,
+            self.faults,
+            self.audit,
+            self.crashes,
+            self.checkpoint_every,
+        )
+        # Default-folding for fields added after entries were cached: a
+        # spec that leaves them at their defaults hashes exactly as it
+        # did before the fields existed, so old cache entries stay valid.
+        if self.shards is not None:
+            canonical_fields += (("shards", self.shards),)
+        if self.spill:
+            canonical_fields += (("spill", True),)
+        if self.scenario is not None:
+            from repro.scenarios import resolve_scenario
+
+            canonical_fields += (
+                ("scenario", resolve_scenario(self.scenario)),
+            )
+        if self.chain is not None:
+            canonical_fields += (
+                ("chain", FilterChainSpec.parse(self.chain)),
+            )
+        canonical = repr(canonical_fields)
+        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+    def with_scenario_folded(self) -> "RunSpec":
+        """This spec with its scenario resolved and the scenario's
+        weather and filters filled into the fields left at ``None``
+        (explicit fields win)."""
+        if self.scenario is None:
+            return self
         from repro.scenarios import resolve_scenario
 
-        scenario_spec = resolve_scenario(scenario)
-        # Scenario-declared weather and filters apply only where the
-        # caller left the explicit argument at its default.
-        if faults is None:
-            faults = scenario_spec.faults
-        if crashes is None:
-            crashes = scenario_spec.crashes
-        if filters_template is None:
-            filters_template = scenario_spec.filters_template()
-        if chain is None:
-            chain = scenario_spec.chain_spec()
-        scenarios.extend(scenario_spec.build_attacks())
-    fault_settings = get_fault_preset(faults) if isinstance(faults, str) else faults
-    crash_settings = get_crash_preset(crashes) if isinstance(crashes, str) else crashes
-    reset_msg_ids()
-
-    streams = RngStreams(seed)
-    world = build_world(
-        scale, calibration, streams, filters_template, config_overrides
-    )
-    simulator = Simulator()
-    spill = None
-    if spill_dir is not None:
-        spill = SpillConfig(
-            directory=spill_dir,
-            chunk_rows=spill_chunk_rows or SPILL_CHUNK_ROWS,
+        scenario = resolve_scenario(self.scenario)
+        return replace(
+            self,
+            scenario=scenario,
+            faults=scenario.faults if self.faults is None else self.faults,
+            crashes=(
+                scenario.crashes if self.crashes is None else self.crashes
+            ),
+            filters_template=(
+                scenario.filters_template()
+                if self.filters_template is None
+                else self.filters_template
+            ),
+            chain=scenario.chain_spec() if self.chain is None else self.chain,
         )
-    store = LogStore(spill=spill)
-    behavior = BehaviorModel(world, calibration, streams)
-    hooks = behavior.hooks()
+
+
+def run(
+    spec: RunSpec,
+    *,
+    spill_dir: Optional[str] = None,
+    spill_chunk_rows: Optional[int] = None,
+    checkpoint_dir: Optional[str] = None,
+    resume_from: Optional[str] = None,
+    shard_jobs: Optional[int] = None,
+    batch_delivery: bool = True,
+) -> SimulationResult:
+    """Simulate the deployment *spec* describes.
+
+    The keywords say how the run executes; none of them changes the
+    measurement store:
+
+    * *spill_dir* bounds the store's resident memory by spilling full
+      chunks of *spill_chunk_rows* records to columnar files there.
+    * *checkpoint_dir* receives the snapshots ``spec.checkpoint_every``
+      asks for.
+    * *resume_from* continues from a snapshot instead of building a
+      fresh run: a snapshot file, or a checkpoint directory whose newest
+      snapshot is taken (for a sharded spec, the root holding each
+      shard's ``shard-<k>/``). Every build-time field is then taken from
+      the snapshot; the result is byte-identical to the uninterrupted
+      run's.
+    * *shard_jobs* bounds the concurrent shard worker processes (default
+      one per shard; ``1`` runs the shards in turn in this process).
+    * *batch_delivery=False* schedules each generated message as its own
+      heap entry instead of one EventBatch per day — same draws, same
+      sort, same ids, so the store must be bit-identical; the
+      engine-batching property tests pin exactly that.
+    """
+    execution = dict(
+        spill_dir=spill_dir,
+        spill_chunk_rows=spill_chunk_rows,
+        checkpoint_dir=checkpoint_dir,
+        resume_from=resume_from,
+        batch_delivery=batch_delivery,
+    )
+    private_spill = spec.spill and spill_dir is None
+    if private_spill:
+        execution["spill_dir"] = tempfile.mkdtemp(prefix="repro-spill-")
+    try:
+        if spec.shards is not None and spec.shards > 1:
+            from repro.experiments.sharded import _run_sharded
+
+            result = _run_sharded(spec, execution, jobs=shard_jobs)
+        else:
+            result = _run_local(spec, None, **execution)
+        if private_spill:
+            # The spill directory dies with this call, so pull every
+            # table back into memory before the chunk files disappear.
+            store = result.store
+            for table in TABLES:
+                rows = getattr(store, table)
+                if not isinstance(rows, list):
+                    setattr(store, table, list(rows))
+    finally:
+        if private_spill:
+            shutil.rmtree(execution["spill_dir"], ignore_errors=True)
+    return result
+
+
+_SPEC_FIELDS = frozenset(f.name for f in fields(RunSpec))
+
+
+def run_simulation(
+    preset: Union[str, ScaleConfig] = "tiny", seed: int = 7, **kwargs
+) -> SimulationResult:
+    """One-line convenience over :func:`run`: the keywords that name a
+    :class:`RunSpec` field build the spec, the rest go to :func:`run`.
+
+        run_simulation("small", seed=3, chain="hybrid", spill_dir=d)
+        # == run(RunSpec("small", seed=3, chain="hybrid"), spill_dir=d)
+    """
+    spec = RunSpec(
+        preset, seed, **{k: v for k, v in kwargs.items() if k in _SPEC_FIELDS}
+    )
+    return run(
+        spec, **{k: v for k, v in kwargs.items() if k not in _SPEC_FIELDS}
+    )
+
+
+class Deployment(NamedTuple):
+    """What :func:`build_deployment` built, before the clock starts."""
+
+    world: World
+    installations: dict
+    #: The simulated users (``None`` when built with ``behavior=False``).
+    behavior: Optional[BehaviorModel]
+    fault_plan: Optional[FaultPlan]
+    #: This process's slice of a sharded run (``None`` = whole world).
+    shard: Optional[ShardContext]
+
+
+def build_deployment(
+    spec: RunSpec,
+    simulator: Simulator,
+    store: LogStore,
+    streams: RngStreams,
+    *,
+    shard: Optional[tuple] = None,
+    behavior: bool = True,
+    outbound_factory=None,
+) -> Deployment:
+    """Build the deployment *spec* describes, ready for the clock.
+
+    Builds the world, arms the spec's network weather, installs the
+    product at every company and seeds the steady-state whitelists and
+    blacklists the paper observed in its mature installations. The
+    simulator and the live server both build through here, so they run
+    the same deployment. The spec's fields are taken as they stand: a
+    scenario's own weather and filters are folded in by
+    :meth:`RunSpec.with_scenario_folded`.
+
+    *shard* ``(index, n_shards)`` installs only the companies that shard
+    owns; remote companies' draws all come from per-company or
+    replicated streams, so skipping their setup consumes nothing shared.
+    *behavior* simulates the users' own actions (digest review,
+    challenge solving); the live server takes those from web requests
+    instead. *outbound_factory* replaces each installation's outbound
+    MTA class.
+    """
+    scale = spec.resolved_scale()
+    calibration = spec.calibration or DEFAULT_CALIBRATION
+    chain = FilterChainSpec.parse(spec.chain)
+    faults = spec.faults
+    if isinstance(faults, str):
+        faults = get_fault_preset(faults)
+    horizon = scale.n_days * DAY
+
+    world = build_world(
+        scale, calibration, streams, spec.filters_template,
+        spec.config_overrides,
+    )
+    model = BehaviorModel(world, calibration, streams) if behavior else None
+    hooks = model.hooks() if model is not None else None
     shard_ctx = None
-    if shard_of is not None:
-        index, n_shards = shard_of
-        shard_map = ShardMap.from_world(world, n_shards)
+    if shard is not None:
+        index, n_shards = shard
         shard_ctx = ShardContext(
-            shard_map=shard_map,
+            shard_map=ShardMap.from_world(world, n_shards),
             index=index,
             exchange=ShardExchange(n_shards=n_shards, shard_index=index),
         )
-
-    horizon = scale.n_days * DAY
     fault_plan = None
-    if fault_settings is not None and fault_settings.enabled:
+    if faults is not None and faults.enabled:
         fault_plan = FaultPlan(
-            fault_settings, seed=seed, horizon=horizon, clock=simulator
+            faults, seed=spec.seed, horizon=horizon, clock=simulator
         )
         world.install_fault_plan(fault_plan)
+
     installations: dict[str, CompanyInstallation] = {}
     for company in world.companies:
-        # A shard worker instantiates only its own companies; remote
-        # companies' draws all come from per-company or replicated
-        # streams, so skipping their setup consumes nothing shared.
-        if (
-            shard_ctx is not None
-            and shard_ctx.shard_map.owner_of(company.company_id)
-            != shard_ctx.index
+        if shard_ctx is not None and (
+            shard_ctx.shard_map.owner_of(company.company_id) != shard_ctx.index
         ):
             continue
         installation = CompanyInstallation(
@@ -599,13 +705,91 @@ def run_simulation(
             rng=streams.stream(f"antivirus/{company.company_id}"),
             hooks=hooks,
             challenge_size=calibration.challenge_size,
-            audit=audit,
+            audit=spec.audit,
             chain=chain,
+            outbound_factory=outbound_factory,
         )
-        _seed_user_lists(installation, company, calibration)
+        # Most contacts are already whitelisted and nuisance senders
+        # blacklisted.
+        for user in company.users:
+            n_seed = int(len(user.contacts) * calibration.seed_whitelist_share)
+            installation.seed_whitelist(user.address, user.contacts[:n_seed])
+            installation.seed_blacklist(user.address, user.nuisance_senders)
         installation.start(until=horizon)
         installations[company.company_id] = installation
-    _seed_newsletter_whitelists(installations, world, calibration, streams)
+
+    # Most subscriptions predate the monitoring window, so most
+    # subscribers already whitelisted their newsletters' senders. The draw
+    # happens for every subscriber, installed here or not, so every shard
+    # consumes the identical stream.
+    rng = streams.stream("newsletter-seed")
+    for source in world.newsletter_sources:
+        for company_id, subscriber in source.subscribers:
+            if rng.random() < calibration.newsletter_seed_prob:
+                installation = installations.get(company_id)
+                if installation is not None:
+                    installation.seed_whitelist(
+                        subscriber, list(source.senders)
+                    )
+    return Deployment(world, installations, model, fault_plan, shard_ctx)
+
+
+def _run_local(
+    spec: RunSpec,
+    shard: Optional[tuple],
+    *,
+    spill_dir: Optional[str] = None,
+    spill_chunk_rows: Optional[int] = None,
+    checkpoint_dir: Optional[str] = None,
+    resume_from: Optional[str] = None,
+    batch_delivery: bool = True,
+) -> SimulationResult:
+    """One process's run: the whole world, or shard *shard*
+    ``(index, n_shards)`` of it."""
+    started = time.perf_counter()
+    if resume_from is not None:
+        snapshot = resume_from
+        if os.path.isdir(resume_from):
+            snapshot = latest_checkpoint(resume_from)
+            if snapshot is None:
+                raise CheckpointError(f"no checkpoint under {resume_from}")
+        restore_started = time.perf_counter()
+        state = load_checkpoint(snapshot)
+        restore_seconds = time.perf_counter() - restore_started
+        if spec.checkpoint_every is not None and state.checkpointer is None:
+            directory = checkpoint_dir or os.path.dirname(snapshot)
+            Checkpointer(state, directory, spec.checkpoint_every).arm()
+        return _finish_run(
+            state, started,
+            restored_from=snapshot, restore_seconds=restore_seconds,
+        )
+    if spec.checkpoint_every is not None and checkpoint_dir is None:
+        raise ValueError(
+            "checkpoint_every requires checkpoint_dir (where to put the "
+            "snapshots)"
+        )
+
+    spec = spec.with_scenario_folded()
+    if os.environ.get("REPRO_AUDIT", "") not in ("", "0"):
+        spec = replace(spec, audit=True)
+    crashes = spec.crashes
+    if isinstance(crashes, str):
+        crashes = get_crash_preset(crashes)
+    reset_msg_ids()
+
+    scale = spec.resolved_scale()
+    horizon = scale.n_days * DAY
+    streams = RngStreams(spec.seed)
+    simulator = Simulator()
+    spill = None
+    if spill_dir is not None:
+        spill = SpillConfig(
+            directory=spill_dir,
+            chunk_rows=spill_chunk_rows or SPILL_CHUNK_ROWS,
+        )
+    store = LogStore(spill=spill)
+    deployment = build_deployment(spec, simulator, store, streams, shard=shard)
+    world, installations = deployment.world, deployment.installations
 
     server_ips = sorted(
         {inst.challenge_mta.ip for inst in installations.values()}
@@ -621,24 +805,25 @@ def run_simulation(
 
     generator = TraceGenerator(
         world, simulator, installations, streams,
-        batch_delivery=batch_delivery, shard=shard_ctx,
+        batch_delivery=batch_delivery, shard=deployment.shard,
     )
     generator.start(scale.n_days)
-    for attack in scenarios:
-        attack.install(
-            world, simulator, installations, streams,
-            shard=shard_ctx, behavior=behavior,
-        )
+    if spec.scenario is not None:
+        for attack in spec.scenario.build_attacks():
+            attack.install(
+                world, simulator, installations, streams,
+                shard=deployment.shard, behavior=deployment.behavior,
+            )
 
     crash_plan = None
-    if crash_settings is not None and crash_settings.enabled:
-        crash_plan = CrashPlan(crash_settings, seed=seed, horizon=horizon)
+    if crashes is not None and crashes.enabled:
+        crash_plan = CrashPlan(crashes, seed=spec.seed, horizon=horizon)
         crash_plan.arm(simulator, installations, store)
 
     state = RunState(
         scale=scale,
-        seed=seed,
-        audit=audit,
+        seed=spec.seed,
+        audit=spec.audit,
         horizon=horizon,
         simulator=simulator,
         store=store,
@@ -646,18 +831,13 @@ def run_simulation(
         installations=installations,
         monitor=monitor,
         generator=generator,
-        behavior=behavior,
-        fault_plan=fault_plan,
+        behavior=deployment.behavior,
+        fault_plan=deployment.fault_plan,
         crash_plan=crash_plan,
-        scenario=scenario_spec,
+        scenario=spec.scenario,
     )
-    if checkpoint_every is not None:
-        if checkpoint_dir is None:
-            raise ValueError(
-                "checkpoint_every requires checkpoint_dir (where to put "
-                "the snapshots)"
-            )
-        Checkpointer(state, checkpoint_dir, checkpoint_every).arm()
+    if spec.checkpoint_every is not None:
+        Checkpointer(state, checkpoint_dir, spec.checkpoint_every).arm()
     return _finish_run(state, started)
 
 
@@ -752,30 +932,3 @@ def _finish_run(
         scenario=getattr(state, "scenario", None),
     )
 
-
-def _seed_user_lists(
-    installation: CompanyInstallation, company, calibration: Calibration
-) -> None:
-    """Pre-populate steady-state whitelists (most contacts) and blacklists
-    (nuisance senders) — the paper observes mature installations."""
-    for user in company.users:
-        n_seed = int(len(user.contacts) * calibration.seed_whitelist_share)
-        installation.seed_whitelist(user.address, user.contacts[:n_seed])
-        installation.seed_blacklist(user.address, user.nuisance_senders)
-
-
-def _seed_newsletter_whitelists(installations, world, calibration, streams) -> None:
-    """Most subscriptions predate the monitoring window, so most
-    subscribers already whitelisted their newsletters' sender addresses."""
-    rng = streams.stream("newsletter-seed")
-    for source in world.newsletter_sources:
-        for company_id, subscriber in source.subscribers:
-            if rng.random() < calibration.newsletter_seed_prob:
-                # .get, not []: a shard worker seeds only its own
-                # companies, but the draw above already happened — every
-                # shard consumes the identical stream.
-                installation = installations.get(company_id)
-                if installation is not None:
-                    installation.seed_whitelist(
-                        subscriber, list(source.senders)
-                    )

@@ -35,29 +35,16 @@ import heapq
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass, fields, replace
+from operator import itemgetter
+from typing import Optional
 
-from repro.analysis.context import DeploymentInfo
 from repro.analysis.store import LogStore, MergedTable, TABLES
 from repro.core.config import CompanyConfig
 from repro.core.ledger import LedgerError
-from repro.core.recovery import CheckpointError, CheckpointStats, latest_checkpoint
-from repro.experiments.runner import (
-    CrashStats,
-    FaultStats,
-    LedgerStats,
-    MemoryStats,
-    ShardRunInfo,
-    SimulationResult,
-    SubstrateCacheStats,
-    run_simulation,
-)
+from repro.experiments.parallel import _pool_context
+from repro.experiments.runner import RunSpec, SimulationResult, _run_local
 from repro.net.exchange import reconcile
-from repro.net.faults import FaultSettings
-from repro.net.crashes import CrashSettings
-from repro.workload.calibration import Calibration
-from repro.workload.scale import ScaleConfig
 
 
 @dataclass(frozen=True)
@@ -102,69 +89,49 @@ class ShardStats:
         return sum(count for count, _digest in self.manifests.values())
 
     @property
-    def cross_shard_rows(self) -> int:
-        """Rows that crossed a shard boundary (anyone's remote traffic)."""
-        return sum(p.remote_rows for p in self.per_shard) // max(
-            1, self.n_shards - 1
-        ) if self.n_shards > 1 else 0
-
-    @property
     def max_shard_wall_seconds(self) -> float:
         return max(p.wall_seconds for p in self.per_shard)
 
 
-@dataclass
-class ShardOutcome:
-    """The picklable residue one shard worker ships back to the driver."""
-
-    index: int
-    store: LogStore
-    info: DeploymentInfo
-    #: company_id -> (position in world.companies, digest hour) — the
-    #: merge keys' tiebreak data, derived from the replicated world.
-    merge_meta: dict
-    company_configs: dict
-    shard_info: ShardRunInfo
-    ledger_stats: LedgerStats
-    fault_stats: FaultStats
-    cache_stats: SubstrateCacheStats
-    crash_stats: CrashStats
-    checkpoint_stats: CheckpointStats
-    memory_stats: MemoryStats
-    events_processed: int
-    wall_seconds: float
-    seed: int
+#: The execution keywords that name a directory; each shard gets its own
+#: subdirectory of it.
+_PER_SHARD_DIRS = ("spill_dir", "checkpoint_dir", "resume_from")
 
 
-def _run_shard(index: int, n_shards: int, kwargs: dict) -> ShardOutcome:
-    """Worker entry point: one shard's full simulation, summarised.
-    Module-level so the process pool can pickle it."""
-    started = time.perf_counter()
-    result = run_simulation(shard_of=(index, n_shards), **kwargs)
-    wall = time.perf_counter() - started
+def shard_directory(root: str, index: int) -> str:
+    """Shard *index*'s own subdirectory of a run's directory."""
+    return os.path.join(root, f"shard-{index}")
+
+
+def _run_shard(
+    index: int, n_shards: int, spec: RunSpec, execution: dict
+) -> SimulationResult:
+    """Worker entry point: one shard's full simulation. Module-level so
+    the process pool can pickle it. *execution* holds
+    :func:`~repro.experiments.runner.run`'s keywords for the whole run;
+    only its directories are rewritten to this shard's own.
+
+    The live objects die with the worker: the result it ships back keeps
+    every company's configuration, in world order (the merge keys'
+    tiebreak), as a :class:`ShardedInstallationView`, and its
+    ``shard_stats`` is the shard's
+    :class:`~repro.experiments.runner.ShardRunInfo`.
+    """
+    execution = dict(execution)
+    for key in _PER_SHARD_DIRS:
+        if execution.get(key) is not None:
+            execution[key] = shard_directory(execution[key], index)
+    result = _run_local(spec, (index, n_shards), **execution)
     result.store.drop_indices()
-    world = result.world
-    return ShardOutcome(
-        index=index,
-        store=result.store,
-        info=result.info,
-        merge_meta={
-            company.company_id: (i, company.config.digest_hour)
-            for i, company in enumerate(world.companies)
+    return replace(
+        result,
+        world=None,
+        simulator=None,
+        monitor=None,
+        installations={
+            company.company_id: ShardedInstallationView(company.config)
+            for company in result.world.companies
         },
-        company_configs={
-            company.company_id: company.config for company in world.companies
-        },
-        shard_info=result.shard_stats,
-        ledger_stats=result.ledger_stats,
-        fault_stats=result.fault_stats,
-        cache_stats=result.cache_stats,
-        crash_stats=result.crash_stats,
-        checkpoint_stats=result.checkpoint_stats,
-        memory_stats=result.memory_stats,
-        events_processed=result.events_processed,
-        wall_seconds=wall,
-        seed=result.seed,
     )
 
 
@@ -186,14 +153,15 @@ _TIME_FIELDS = {
 }
 
 
-def _merge_keys(merge_meta: dict) -> dict:
-    """Per-table sort keys reconstructing the single-run record order."""
+def _merge_keys(installations: dict) -> dict:
+    """Per-table sort keys reconstructing the single-run record order,
+    from a shard's configuration views in world order."""
     company_index = {
-        company_id: index
-        for company_id, (index, _hour) in merge_meta.items()
+        company_id: index for index, company_id in enumerate(installations)
     }
     digest_hour = {
-        company_id: hour for company_id, (_index, hour) in merge_meta.items()
+        company_id: view.config.digest_hour
+        for company_id, view in installations.items()
     }
 
     def time_key(t_field: str):
@@ -224,7 +192,7 @@ def _merge_stores(outcomes: list, spilled: bool) -> LogStore:
     :class:`MergedTable` views, so the merged store's resident footprint
     is still bounded by one chunk per shard.
     """
-    keys = _merge_keys(outcomes[0].merge_meta)
+    keys = _merge_keys(outcomes[0].installations)
     merged = LogStore()
     for table in TABLES:
         parts = [getattr(outcome.store, table) for outcome in outcomes]
@@ -243,233 +211,119 @@ def _merge_stores(outcomes: list, spilled: bool) -> LogStore:
 # -- stat aggregation -------------------------------------------------------
 
 
-def _sum_ledgers(outcomes: list) -> LedgerStats:
-    snaps = [outcome.ledger_stats for outcome in outcomes]
-    per_company = sorted(
-        (snapshot for s in snaps for snapshot in s.per_company),
-        key=lambda snapshot: snapshot.company_id,
-    )
-    violations = tuple(v for s in snaps for v in s.violations)
-    return LedgerStats(
-        audit=all(s.audit for s in snaps),
-        accepted=sum(s.accepted for s in snaps),
-        delivered=sum(s.delivered for s in snaps),
-        black_dropped=sum(s.black_dropped for s in snaps),
-        filter_dropped=sum(s.filter_dropped for s in snaps),
-        quarantined_total=sum(s.quarantined_total for s in snaps),
-        released=sum(s.released for s in snaps),
-        deleted=sum(s.deleted for s in snaps),
-        expired=sum(s.expired for s in snaps),
-        pending_at_horizon=sum(s.pending_at_horizon for s in snaps),
-        stranded=sum(s.stranded for s in snaps),
-        leaked_challenge_slots=sum(s.leaked_challenge_slots for s in snaps),
-        per_company=tuple(per_company),
-        violations=violations,
-    )
+def _combine(stats: list, **special):
+    """Field-wise sum of one stats dataclass across shards. Flags are
+    OR-ed; *special* maps a field to its own combiner over the column."""
+    values = {}
+    for f in fields(stats[0]):
+        column = [getattr(s, f.name) for s in stats]
+        if f.name in special:
+            values[f.name] = special[f.name](column)
+        elif isinstance(column[0], bool):
+            values[f.name] = any(column)
+        else:
+            values[f.name] = sum(column)
+    return type(stats[0])(**values)
 
 
-def _sum_faults(outcomes: list) -> FaultStats:
-    stats = [outcome.fault_stats for outcome in outcomes]
-    return FaultStats(
-        enabled=any(s.enabled for s in stats),
-        greylist_deferrals=sum(s.greylist_deferrals for s in stats),
-        storm_rejections=sum(s.storm_rejections for s in stats),
-        outage_failures=sum(s.outage_failures for s in stats),
-        dns_failures=sum(s.dns_failures for s in stats),
-        retries_scheduled=sum(s.retries_scheduled for s in stats),
-        messages_sent=sum(s.messages_sent for s in stats),
-        delivered=sum(s.delivered for s in stats),
-        bounced=sum(s.bounced for s in stats),
-        expired=sum(s.expired for s in stats),
-        drained=sum(s.drained for s in stats),
-    )
-
-
-def _sum_caches(outcomes: list) -> SubstrateCacheStats:
-    stats = [outcome.cache_stats for outcome in outcomes]
-    return SubstrateCacheStats(
-        dns_hits=sum(s.dns_hits for s in stats),
-        dns_misses=sum(s.dns_misses for s in stats),
-        dnsbl_hits=sum(s.dnsbl_hits for s in stats),
-        dnsbl_misses=sum(s.dnsbl_misses for s in stats),
-        route_hits=sum(s.route_hits for s in stats),
-        route_misses=sum(s.route_misses for s in stats),
-    )
-
-
-def _sum_crashes(outcomes: list) -> CrashStats:
-    stats = [outcome.crash_stats for outcome in outcomes]
+def _merge_components(column: list) -> tuple:
     by_component: dict = {}
-    for s in stats:
-        for component, count in s.by_component:
+    for pairs in column:
+        for component, count in pairs:
             by_component[component] = by_component.get(component, 0) + count
-    return CrashStats(
-        enabled=any(s.enabled for s in stats),
-        crashes=sum(s.crashes for s in stats),
-        by_component=tuple(sorted(by_component.items())),
-        inbound_deferred=sum(s.inbound_deferred for s in stats),
-        inbound_refused=sum(s.inbound_refused for s in stats),
-        digests_skipped=sum(s.digests_skipped for s in stats),
-        expiries_skipped=sum(s.expiries_skipped for s in stats),
-        outbound_deferred=sum(s.outbound_deferred for s in stats),
-        redriven=sum(s.redriven for s in stats),
-        lost=sum(s.lost for s in stats),
-        journals_rebuilt=sum(s.journals_rebuilt for s in stats),
-        journal_mismatches=sum(s.journal_mismatches for s in stats),
-    )
+    return tuple(sorted(by_component.items()))
 
 
-def _sum_checkpoints(outcomes: list) -> CheckpointStats:
-    stats = [outcome.checkpoint_stats for outcome in outcomes]
-    return CheckpointStats(
-        every=max(s.every for s in stats),
-        written=sum(s.written for s in stats),
-        write_seconds=sum(s.write_seconds for s in stats),
-        last_path=stats[0].last_path,
-        restored_from=stats[0].restored_from,
-        restore_seconds=sum(s.restore_seconds for s in stats),
-    )
+def _combine_outcome_stats(outcomes: list) -> dict:
+    """The merged result's stats fields, one per shard-summed stats type."""
 
+    def column(name: str) -> list:
+        return [getattr(outcome, name) for outcome in outcomes]
 
-def _sum_memory(outcomes: list) -> MemoryStats:
-    stats = [outcome.memory_stats for outcome in outcomes]
-    return MemoryStats(
-        max_rss_bytes=max(s.max_rss_bytes for s in stats),
-        store_live_rows=sum(s.store_live_rows for s in stats),
-        store_live_bytes=sum(s.store_live_bytes for s in stats),
-        store_spilled_bytes=sum(s.store_spilled_bytes for s in stats),
+    return dict(
+        ledger_stats=_combine(
+            column("ledger_stats"),
+            audit=all,
+            per_company=lambda c: tuple(
+                sorted((s for p in c for s in p), key=lambda s: s.company_id)
+            ),
+            violations=lambda c: tuple(v for vs in c for v in vs),
+        ),
+        cache_stats=_combine(column("cache_stats")),
+        fault_stats=_combine(column("fault_stats")),
+        crash_stats=_combine(
+            column("crash_stats"), by_component=_merge_components
+        ),
+        checkpoint_stats=_combine(
+            column("checkpoint_stats"),
+            every=max, last_path=itemgetter(0), restored_from=itemgetter(0),
+        ),
+        memory_stats=_combine(column("memory_stats"), max_rss_bytes=max),
     )
 
 
 # -- the driver -------------------------------------------------------------
 
 
-def _pool_context():
-    from repro.experiments.parallel import _pool_context as ctx
-
-    return ctx()
-
-
-def _resolved_scenario(scenario):
-    """The merged result carries the resolved spec, like a plain run's."""
-    if scenario is None:
-        return None
-    from repro.scenarios import resolve_scenario
-
-    return resolve_scenario(scenario)
-
-
-def run_sharded_simulation(
-    preset: Union[str, ScaleConfig] = "tiny",
-    seed: int = 7,
-    calibration: Optional[Calibration] = None,
-    filters_template=None,
-    scenarios: Sequence = (),
-    config_overrides: Optional[dict] = None,
-    faults: Union[str, FaultSettings, None] = None,
-    audit: bool = False,
-    crashes: Union[str, CrashSettings, None] = None,
-    checkpoint_every: Optional[float] = None,
-    checkpoint_dir: Optional[str] = None,
-    resume_from: Optional[str] = None,
-    batch_delivery: bool = True,
-    shards: int = 2,
-    jobs: Optional[int] = None,
-    spill_dir: Optional[str] = None,
-    spill_chunk_rows: Optional[int] = None,
-    scenario=None,
-    chain=None,
+def _run_sharded(
+    spec: RunSpec, execution: dict, jobs: Optional[int] = None
 ) -> SimulationResult:
-    """One deployment simulated across *shards* workers, merged back.
+    """One deployment simulated across ``spec.shards`` workers, merged
+    back.
 
     *jobs* bounds concurrent worker processes (default one per shard);
     ``jobs=1`` runs the shards sequentially in this process — same
     result, and the honest way to measure per-shard cost on a small box.
-    Checkpoint and spill directories get per-shard ``shard-<k>``
-    subdirectories; *resume_from* takes the checkpoint *root* and each
-    worker resumes from the newest snapshot in its own subdirectory.
+    Spill, checkpoint and resume directories in *execution* get
+    per-shard ``shard-<k>`` subdirectories, so a resume from the
+    checkpoint *root* has each worker resume from the newest snapshot in
+    its own subdirectory.
 
-    Attack scenarios (*scenarios* instances and the declarative
-    *scenario* spec alike) ship to every worker: each replica replays
-    the identical attack planning draws — the replicated-trace invariant
-    — while only the victim company's owner shard materialises and
+    A scenario's attacks ship to every worker: each replica replays the
+    identical attack planning draws — the replicated-trace invariant —
+    while only the victim company's owner shard materialises and
     delivers the forged mail, so the merged store still matches
     ``shards=1`` byte-for-byte.
     """
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
+    shards = spec.shards
     started = time.perf_counter()
     jobs = jobs or shards
 
-    per_shard_kwargs = []
-    for index in range(shards):
-        kwargs: dict = dict(
-            preset=preset,
-            seed=seed,
-            calibration=calibration,
-            filters_template=filters_template,
-            config_overrides=config_overrides,
-            faults=faults,
-            audit=audit,
-            crashes=crashes,
-            checkpoint_every=checkpoint_every,
-            batch_delivery=batch_delivery,
-            scenarios=tuple(scenarios),
-            scenario=scenario,
-            chain=chain,
-        )
-        if checkpoint_dir is not None:
-            kwargs["checkpoint_dir"] = os.path.join(
-                checkpoint_dir, f"shard-{index}"
-            )
-        if spill_dir is not None:
-            kwargs["spill_dir"] = os.path.join(spill_dir, f"shard-{index}")
-            kwargs["spill_chunk_rows"] = spill_chunk_rows
-        if resume_from is not None:
-            snapshot = latest_checkpoint(
-                os.path.join(resume_from, f"shard-{index}")
-            )
-            if snapshot is None:
-                raise CheckpointError(
-                    f"no shard-{index} snapshot under {resume_from}; a "
-                    "sharded resume needs every shard's subdirectory"
-                )
-            kwargs["resume_from"] = snapshot
-        per_shard_kwargs.append(kwargs)
-
-    if jobs == 1 or shards == 1:
+    if jobs == 1:
         outcomes = [
-            _run_shard(index, shards, kwargs)
-            for index, kwargs in enumerate(per_shard_kwargs)
+            _run_shard(index, shards, spec, execution)
+            for index in range(shards)
         ]
     else:
         with ProcessPoolExecutor(
             max_workers=min(jobs, shards), mp_context=_pool_context()
         ) as pool:
             futures = [
-                pool.submit(_run_shard, index, shards, kwargs)
-                for index, kwargs in enumerate(per_shard_kwargs)
+                pool.submit(_run_shard, index, shards, spec, execution)
+                for index in range(shards)
             ]
             outcomes = [future.result() for future in futures]
 
     # Replica-consistency gate: every shard's view of the full exchange
     # stream must agree before any merging happens.
-    manifests = reconcile([o.shard_info.manifests for o in outcomes])
+    manifests = reconcile([o.shard_stats.manifests for o in outcomes])
 
-    ledger_stats = _sum_ledgers(outcomes)
+    stats = _combine_outcome_stats(outcomes)
+    ledger_stats = stats["ledger_stats"]
     if not ledger_stats.conserved:
         raise LedgerError(
             "message-lifecycle conservation violated across shards:\n  "
             + "\n  ".join(ledger_stats.violations)
         )
 
-    merged = _merge_stores(outcomes, spilled=spill_dir is not None)
+    spilled = execution.get("spill_dir") is not None
+    merged = _merge_stores(outcomes, spilled=spilled)
     # Ownership straight from the workers: local companies are the ones
     # whose installations produced ledger snapshots.
     owners: dict = {}
     for outcome in outcomes:
         for snapshot in outcome.ledger_stats.per_company:
-            owners[snapshot.company_id] = outcome.index
+            owners[snapshot.company_id] = outcome.shard_stats.index
 
     shard_stats = ShardStats(
         n_shards=shards,
@@ -478,12 +332,12 @@ def run_sharded_simulation(
         manifests=manifests,
         per_shard=tuple(
             ShardPerf(
-                index=outcome.index,
+                index=outcome.shard_stats.index,
                 companies=len(outcome.ledger_stats.per_company),
                 wall_seconds=outcome.wall_seconds,
                 events_processed=outcome.events_processed,
-                local_rows=outcome.shard_info.local_rows,
-                remote_rows=outcome.shard_info.remote_rows,
+                local_rows=outcome.shard_stats.local_rows,
+                remote_rows=outcome.shard_stats.remote_rows,
                 max_rss_bytes=outcome.memory_stats.max_rss_bytes,
             )
             for outcome in outcomes
@@ -493,23 +347,13 @@ def run_sharded_simulation(
         store=merged,
         world=None,
         simulator=None,
-        installations={
-            company_id: ShardedInstallationView(config)
-            for company_id, config in sorted(
-                outcomes[0].company_configs.items()
-            )
-        },
+        installations=dict(sorted(outcomes[0].installations.items())),
         monitor=None,
         info=outcomes[0].info,
-        seed=seed,
+        seed=spec.seed,
         wall_seconds=time.perf_counter() - started,
-        cache_stats=_sum_caches(outcomes),
-        fault_stats=_sum_faults(outcomes),
-        ledger_stats=ledger_stats,
-        crash_stats=_sum_crashes(outcomes),
-        checkpoint_stats=_sum_checkpoints(outcomes),
-        memory_stats=_sum_memory(outcomes),
+        **stats,
         events_processed=sum(o.events_processed for o in outcomes),
         shard_stats=shard_stats,
-        scenario=_resolved_scenario(scenario),
+        scenario=spec.with_scenario_folded().scenario,
     )

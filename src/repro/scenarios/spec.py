@@ -66,7 +66,7 @@ class ScenarioSpec:
     description: str = ""
     attacks: tuple = ()
     #: Fault-injection preset name applied to the run (``None`` = clear
-    #: weather), overridable by an explicit ``run_simulation`` argument.
+    #: weather), overridable by an explicit ``RunSpec`` field.
     faults: Optional[str] = None
     #: Crash-injection preset name, same override rule.
     crashes: Optional[str] = None
@@ -77,7 +77,7 @@ class ScenarioSpec:
     #: :class:`~repro.core.config.FilterChainSpec` ``(field, value)``
     #: pairs (``members`` value itself a tuple); empty = the scenario
     #: leaves the chain alone. Same override rule as ``filters``: an
-    #: explicit ``run_simulation(chain=...)`` argument wins.
+    #: explicit ``RunSpec.chain`` wins.
     chain: tuple = ()
     verdicts: tuple = ()
 

@@ -33,17 +33,13 @@ import time
 from typing import Dict, List, Optional, Union
 
 from repro.analysis.store import LogStore
-from repro.core.config import FilterChainSpec
 from repro.core.engine import CompanyInstallation
 from repro.core.filters.base import FilterChain
 from repro.core.filters.content import OnlineNaiveBayesFilter
 from repro.core.filters.reputation import SenderReputationFilter
 from repro.core.message import EmailMessage, MessageKind, SenderClass, reset_msg_ids
 from repro.core.mta_in import DropReason
-from repro.experiments.runner import (
-    _seed_newsletter_whitelists,
-    _seed_user_lists,
-)
+from repro.experiments.runner import RunSpec, build_deployment
 from repro.net.hosts import RemoteMailHost
 from repro.net.smtp import Reply
 from repro.serve.admission import DegradationLadder, LiveStats
@@ -52,9 +48,7 @@ from repro.serve.wal import WriteAheadLog
 from repro.sim.engine import Simulator
 from repro.util.rng import RngStreams
 from repro.util.simtime import DAY
-from repro.workload.calibration import DEFAULT_CALIBRATION
-from repro.workload.entities import build_world
-from repro.workload.scale import ScaleConfig, get_preset
+from repro.workload.scale import ScaleConfig
 
 #: MTA-IN verdict → SMTP reply for the live DATA acknowledgement.
 _DROP_REPLY = {
@@ -108,8 +102,6 @@ class LiveCrService:
         retry_policy: Optional[RetryPolicy] = None,
         ladder: Optional[DegradationLadder] = None,
     ) -> None:
-        self.scale = get_preset(preset) if isinstance(preset, str) else preset
-        self.seed = seed
         self.time_scale = time_scale
         #: Artificial per-message apply cost (seconds). Zero in production;
         #: the overload tests use it to pin the service's capacity far
@@ -124,33 +116,23 @@ class LiveCrService:
         self._closed = False
         self.ready = False
 
-        calibration = DEFAULT_CALIBRATION
-        reset_msg_ids()
-        streams = RngStreams(seed)
-        self.world = build_world(self.scale, calibration, streams, None, None)
+        # The same deployment the simulator builds, minus the simulated
+        # users: their actions arrive as web requests instead.
+        spec = RunSpec(preset, seed, audit=audit, chain=chain)
+        self.horizon = spec.resolved_scale().n_days * DAY
         self.simulator = Simulator()
         self.store = LogStore()
-        self.horizon = self.scale.n_days * DAY
-        chain_spec = FilterChainSpec.parse(chain)
-        factory = backoff_factory(retry_policy or RetryPolicy())
-        self.installations: Dict[str, CompanyInstallation] = {}
-        for company in self.world.companies:
-            installation = CompanyInstallation(
-                config=company.config,
-                simulator=self.simulator,
-                internet=self.world.internet,
-                resolver=self.world.resolver,
-                store=self.store,
-                dnsbl_services=self.world.services,
-                rng=streams.stream(f"antivirus/{company.company_id}"),
-                hooks=None,
-                challenge_size=calibration.challenge_size,
-                audit=audit,
-                chain=chain_spec,
-                outbound_factory=factory,
-            )
-            _seed_user_lists(installation, company, calibration)
-            installation.start(until=self.horizon)
+        reset_msg_ids()
+        deployment = build_deployment(
+            spec, self.simulator, self.store, RngStreams(seed),
+            behavior=False,
+            outbound_factory=backoff_factory(retry_policy or RetryPolicy()),
+        )
+        self.world = deployment.world
+        self.installations: Dict[str, CompanyInstallation] = (
+            deployment.installations
+        )
+        for installation in self.installations.values():
             # Shed level 1 swaps in the chain minus the PR 9 auxiliary
             # members (adaptive content + reputation) — the expensive,
             # sheddable classifiers.
@@ -163,10 +145,6 @@ class LiveCrService:
                     )
                 ]
             )
-            self.installations[company.company_id] = installation
-        _seed_newsletter_whitelists(
-            self.installations, self.world, calibration, streams
-        )
         self._register_live_senders()
         self._route_cache: Dict[str, Optional[CompanyInstallation]] = {}
 

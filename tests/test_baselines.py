@@ -4,11 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.baselines.comparison import build_table, compare_defences
-from repro.baselines.naive_bayes import (
-    ClassifierScore,
-    NaiveBayesFilter,
-    score_classifier,
-)
+from repro.baselines.naive_bayes import ClassifierScore, score_classifier
+from repro.core.filters.content import NaiveBayesFilter
 from repro.core.message import MessageKind
 from repro.core.spools import Category
 

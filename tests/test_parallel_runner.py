@@ -10,6 +10,7 @@ import warnings
 
 import pytest
 
+from repro._version import __version__
 from repro.experiments import parallel
 from repro.experiments.parallel import (
     ParallelRunner,
@@ -19,6 +20,8 @@ from repro.experiments.parallel import (
     run_specs,
 )
 from repro.core.config import FilterSettings
+from repro.scenarios import AttackSpec, ScenarioSpec
+from repro.util.simtime import DAY
 
 #: The sweep both execution modes must agree on.
 SPECS = [RunSpec("tiny", seed=3), RunSpec("tiny", seed=5)]
@@ -234,6 +237,65 @@ class TestSpecKeys:
             RunSpec("tiny", seed=3, audit=False).cache_key()
             == RunSpec("tiny", seed=3).cache_key()
         )
+
+
+#: ``RunSpec.cache_key()`` per kind of spec, pinned at version 1.3.0. A
+#: key may only change with a deliberate version bump (which moves every
+#: key: regenerate these then), never as a side effect of a refactor —
+#: that would silently orphan every cached sweep.
+PINNED_KEYS = {
+    "plain": (
+        RunSpec("tiny", seed=7),
+        "8a9b9653ec6034de908a930cdabcf6ac8679e02a20c11a7ee0ea0e9ded3bec15",
+    ),
+    "faults+audit": (
+        RunSpec("tiny", seed=3, faults="mild", audit=True),
+        "7c96db9d854056d9fba5decc36f78d876b2b67af3f641b4264262c145f5eaabc",
+    ),
+    "crashes+checkpoint_every": (
+        RunSpec("tiny", seed=3, crashes="rare", checkpoint_every=3 * DAY),
+        "43932e54308538d0dabb7aaf97c87cbadaafd7997e946238ed2ba7c1aadd745b",
+    ),
+    "shards+spill": (
+        RunSpec("small", seed=11, shards=2, spill=True),
+        "b4ee8e089e8b1d59388b7a3aede4f2217539819a9ec34cfec0ab211dc863bbfb",
+    ),
+    "scenario": (
+        RunSpec(
+            "tiny",
+            seed=7,
+            scenario=ScenarioSpec(
+                name="pinned",
+                attacks=(
+                    AttackSpec(
+                        kind="trap-bombing", company_id="c01", duration_days=3
+                    ),
+                ),
+            ),
+        ),
+        "7e496c079cb335b6ec5ca263c7f2d8da668efb319bf1aca7fccfd62f6e6d2b75",
+    ),
+    "chain": (
+        RunSpec("tiny", seed=7, chain="hybrid"),
+        "3ae05300d2ca74026fcc9ea76cb9e288f4dcf8b9ae8146c57e337b184c74372d",
+    ),
+    "filters_template+config_overrides": (
+        RunSpec(
+            "tiny",
+            seed=5,
+            filters_template=FilterSettings(spf=True, rbl=False),
+            config_overrides={"challenge_dedup": False, "quarantine_days": 20},
+        ),
+        "730b32c322639790ff4daa21885089927ae07e6669d44409b6018759560acb3c",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_KEYS))
+def test_cache_key_pinned(kind):
+    spec, key = PINNED_KEYS[kind]
+    assert __version__ == "1.3.0"
+    assert spec.cache_key() == key
 
 
 class TestSummaryPickling:

@@ -10,13 +10,14 @@ test here pins some face of that equivalence.
 from __future__ import annotations
 
 import hashlib
+import os
 
 import pytest
 
 from repro._version import __version__
-from repro.experiments.parallel import RunSpec, store_digest
+from repro.experiments.parallel import store_digest
 from repro.experiments.registry import run_all
-from repro.experiments.runner import run_simulation
+from repro.experiments.runner import RunSpec, run_simulation
 from repro.net.exchange import (
     ExchangeDivergence,
     ShardExchange,
@@ -171,6 +172,31 @@ def test_sharded_checkpoint_restore_roundtrip(tmp_path):
         resume_from=str(root), shards=2, shard_jobs=1
     )
     assert store_digest(resumed.store) == store_digest(full.store)
+
+
+def test_sweep_retry_resumes_every_shard(tmp_path, monkeypatch):
+    """A retried sharded checkpointing spec resumes each shard from the
+    newest snapshot in its own ``shard-<k>/`` instead of silently
+    recomputing from day 0, and still reproduces the uninterrupted
+    store."""
+    from repro.experiments import runner
+    from repro.experiments.parallel import _execute_spec
+
+    spec = RunSpec("tiny", seed=3, shards=2, checkpoint_every=3 * DAY)
+    uninterrupted = _execute_spec(spec, tmp_path)
+    loaded = []
+    load = runner.load_checkpoint
+
+    def counting_load(path):
+        loaded.append(path)
+        return load(path)
+
+    monkeypatch.setattr(runner, "load_checkpoint", counting_load)
+    retried = _execute_spec(spec, tmp_path, resume=True)
+    assert sorted(os.path.basename(os.path.dirname(p)) for p in loaded) == [
+        "shard-0", "shard-1",
+    ]
+    assert retried.digest == uninterrupted.digest
 
 
 # -- parallel-runner integration --------------------------------------------

@@ -6,10 +6,19 @@ from repro.core.message import MessageKind
 from repro.core.spools import Category
 from repro.experiments import run_simulation
 from repro.net.smtp import BounceReason
+from repro.scenarios import AttackSpec, ScenarioSpec
 from repro.util.simtime import DAY
-from repro.workload.attacks import TrapBombingAttack, WhitelistSpoofingAttack
 
 VICTIM = "c01"
+
+
+def attacked(*attacks: AttackSpec) -> ScenarioSpec:
+    """A one-off scenario carrying just *attacks*."""
+    return ScenarioSpec(name="test-attacks", attacks=attacks)
+
+
+def trap_bombing(**params) -> AttackSpec:
+    return AttackSpec(kind="trap-bombing", company_id=VICTIM, **params)
 
 
 @pytest.fixture(scope="module")
@@ -22,14 +31,9 @@ def bombed():
     return run_simulation(
         "tiny",
         seed=17,
-        scenarios=[
-            TrapBombingAttack(
-                company_id=VICTIM,
-                messages_per_day=150,
-                start_day=1,
-                duration_days=5,
-            )
-        ],
+        scenario=attacked(
+            trap_bombing(messages_per_day=150, start_day=1, duration_days=5)
+        ),
     )
 
 
@@ -38,15 +42,16 @@ def spoofed():
     return run_simulation(
         "tiny",
         seed=17,
-        scenarios=[
-            WhitelistSpoofingAttack(
+        scenario=attacked(
+            AttackSpec(
+                kind="whitelist-spoofing",
                 company_id=VICTIM,
                 messages_per_day=100,
                 start_day=1,
                 duration_days=5,
-                guess_prob=0.6,
+                params=(("guess_prob", 0.6),),
             )
-        ],
+        ),
     )
 
 
@@ -136,26 +141,24 @@ class TestWhitelistSpoofing:
             run_simulation(
                 "tiny",
                 seed=17,
-                scenarios=[
-                    WhitelistSpoofingAttack(company_id="c99")
-                ],
+                scenario=attacked(
+                    AttackSpec(kind="whitelist-spoofing", company_id="c99")
+                ),
             )
 
 
 class TestInstallHardening:
     def test_reused_attack_instance_is_deterministic(self):
-        """Regression: a TrapBombingAttack reused across runs must behave
-        as a fresh instance — per-run state (the forged sender IP pool)
-        is allocated in install(), not lazily on first forge."""
+        """Regression: a scenario reused across runs must behave as a
+        fresh one — per-run attack state (the forged sender IP pool) is
+        allocated in install(), not lazily on first forge."""
         from repro.experiments.parallel import store_digest
 
-        reused = TrapBombingAttack(company_id=VICTIM, duration_days=3)
-        first = run_simulation("tiny", seed=17, scenarios=[reused])
-        second = run_simulation("tiny", seed=17, scenarios=[reused])
+        reused = attacked(trap_bombing(duration_days=3))
+        first = run_simulation("tiny", seed=17, scenario=reused)
+        second = run_simulation("tiny", seed=17, scenario=reused)
         fresh = run_simulation(
-            "tiny",
-            seed=17,
-            scenarios=[TrapBombingAttack(company_id=VICTIM, duration_days=3)],
+            "tiny", seed=17, scenario=attacked(trap_bombing(duration_days=3))
         )
         assert store_digest(second.store) == store_digest(first.store)
         assert store_digest(second.store) == store_digest(fresh.store)
@@ -166,21 +169,13 @@ class TestInstallHardening:
             run_simulation(
                 "tiny",
                 seed=17,
-                scenarios=[
-                    TrapBombingAttack(
-                        company_id=VICTIM, start_day=8, duration_days=5
-                    )
-                ],
+                scenario=attacked(trap_bombing(start_day=8, duration_days=5)),
             )
 
     def test_negative_start_day_raises(self):
         with pytest.raises(ValueError):
             run_simulation(
-                "tiny",
-                seed=17,
-                scenarios=[
-                    TrapBombingAttack(company_id=VICTIM, start_day=-1)
-                ],
+                "tiny", seed=17, scenario=attacked(trap_bombing(start_day=-1))
             )
 
     def test_zero_duration_raises(self):
@@ -188,7 +183,5 @@ class TestInstallHardening:
             run_simulation(
                 "tiny",
                 seed=17,
-                scenarios=[
-                    TrapBombingAttack(company_id=VICTIM, duration_days=0)
-                ],
+                scenario=attacked(trap_bombing(duration_days=0)),
             )
