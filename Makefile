@@ -37,21 +37,18 @@ sweep:
 goldens:
 	$(PYTHON) scripts/update_goldens.py
 
-# Run the full declarative scenario pack (audited) and every verdict.
+# Conservation gates (src/repro/gates.py): the full scenario pack,
+# audited, with every verdict; the full-pack FP/FN frontier under its
+# non-degeneracy check; and the kill -9 zero-loss chaos gate, which
+# writes serve_smoke_report.json.
 scenarios:
-	$(PYTHON) scripts/scenario_smoke.py --preset tiny --seed 7
+	PYTHONPATH=src $(PYTHON) -m repro gate scenario
 
-# Reduced FP/FN frontier (clean row + one attack, every chain) with the
-# non-degeneracy gate; `python -m repro experiment frontier` is the full one.
 frontier:
-	$(PYTHON) scripts/frontier_smoke.py --preset tiny
+	PYTHONPATH=src $(PYTHON) -m repro gate frontier
 
-# Live-service chaos gate: boot the real server subprocess, drive open-loop
-# SMTP load, SIGKILL it mid-burst 20 times, and assert zero accepted-message
-# loss via WAL replay + ledger reconciliation on every restart.
 serve-smoke:
-	$(PYTHON) scripts/serve_smoke.py --kills 20 \
-		--artifact serve_smoke_report.json
+	PYTHONPATH=src $(PYTHON) -m repro gate serve
 
 reports: bench experiments
 

@@ -226,8 +226,8 @@ def main() -> None:
         "false-negative rates per cell (averaged over seeds 3/5/7). "
         "Machine-checked: every cell must evaluate, and pure CR must beat "
         "the naive-Bayes chain on clean-row false positives. Regenerate "
-        "with `make frontier` (reduced) or "
-        "`repro experiment frontier` (full).\n"
+        "with `make frontier` (the gated full table) or "
+        "`repro experiment frontier` (cached).\n"
     )
     parts.append("```\n" + report + "\n```\n")
     smoke = ROOT / "serve_smoke_report.json"
@@ -242,7 +242,7 @@ def main() -> None:
             "real server subprocess under open-loop load, zero "
             "accepted-message loss asserted via WAL replay + ledger "
             "reconciliation on every restart. Regenerate with "
-            "`make serve-smoke` (the numbers below are the committed "
+            "`repro gate serve` (the numbers below are the committed "
             "`serve_smoke_report.json`; CI re-runs the gate and uploads "
             "a fresh artifact).\n"
         )

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from repro.analysis.store import LogStore
-from repro.core.config import FilterChainSpec
 from repro.core.message import MessageKind
 from repro.core.spools import Category
 from repro.util.render import TextTable
@@ -105,36 +104,54 @@ class FrontierResult:
         return None
 
 
-def delivery_counts(store: LogStore) -> Tuple[int, int, int, int]:
-    """End-to-end (spam_total, spam_delivered, legit_total, legit_lost).
+class InboxTally:
+    """Streaming inbox-truth FP/FN tally over dispatch records.
 
-    Same inbox-truth accounting as
-    :func:`repro.baselines.comparison.compare_defences` applies to the CR
-    side, over the *whole* run (in-chain filters train online, so there
-    is no offline train/test split to respect). Single streaming pass —
-    safe on spilled and merged stores.
+    Delivered means whitelisted, or quarantined (gray, no filter drop)
+    and then released. Spam counts when delivered; legitimate mail when
+    not, unless it has a null envelope sender: newsletters and bounce
+    notifications are not the real correspondents the paper's FP
+    discussion is about. Only the release-id set is kept in memory.
     """
-    released = {record.msg_id for record in store.releases}
-    spam_total = spam_delivered = legit_total = legit_lost = 0
-    for record in store.dispatch:
+
+    def __init__(self, store: LogStore) -> None:
+        self.released = {r.msg_id for r in store.releases}
+        self.spam_total = self.spam_delivered = 0
+        self.legit_total = self.legit_lost = 0
+
+    def add(self, record) -> None:
         quarantined = (
             record.category is Category.GRAY and record.filter_drop is None
         )
-        delivered = (
-            record.category is Category.WHITE
-            or (quarantined and record.msg_id in released)
+        delivered = record.category is Category.WHITE or (
+            quarantined and record.msg_id in self.released
         )
         if record.kind is MessageKind.SPAM:
-            spam_total += 1
-            if delivered:
-                spam_delivered += 1
+            self.spam_total += 1
+            self.spam_delivered += delivered
         elif record.kind is MessageKind.LEGIT and record.env_from:
-            # Same exclusions as the offline comparison: newsletters and
-            # null-sender bounces are not person-to-person mail.
-            legit_total += 1
-            if not delivered:
-                legit_lost += 1
-    return spam_total, spam_delivered, legit_total, legit_lost
+            self.legit_total += 1
+            self.legit_lost += not delivered
+
+
+def delivery_counts(store: LogStore) -> Tuple[int, int, int, int]:
+    """End-to-end (spam_total, spam_delivered, legit_total, legit_lost).
+
+    The :class:`InboxTally` accounting
+    :func:`repro.baselines.comparison.compare_defences` applies to the
+    CR side, over the *whole* run (in-chain filters train online, so
+    there is no offline train/test split to respect). Single streaming
+    pass — safe on spilled and merged stores.
+    """
+    inbox = InboxTally(store)
+    for record in store.dispatch:
+        inbox.add(record)
+    return (
+        inbox.spam_total,
+        inbox.spam_delivered,
+        inbox.legit_total,
+        inbox.legit_lost,
+    )
 
 
 def run_frontier(
@@ -292,7 +309,7 @@ def render(result: FrontierResult) -> str:
     return "\n".join(lines)
 
 
-def render_result(result, jobs: Optional[int] = None) -> str:
+def render_result(result) -> str:
     """Experiment-registry adapter.
 
     The frontier is a cross-run sweep, so unlike the single-run
@@ -305,9 +322,7 @@ def render_result(result, jobs: Optional[int] = None) -> str:
 
     from repro.experiments.parallel import ParallelRunner, RunCache
 
-    if jobs is None:
-        jobs = min(4, os.cpu_count() or 1)
-    runner = ParallelRunner(jobs=jobs, cache=RunCache())
+    runner = ParallelRunner(jobs=min(4, os.cpu_count() or 1), cache=RunCache())
     frontier = run_frontier(runner=runner)
     note = (
         "note: frontier re-simulates across chain compositions "
@@ -322,6 +337,7 @@ __all__ = [
     "FRONTIER_SEEDS",
     "FrontierCell",
     "FrontierResult",
+    "InboxTally",
     "delivery_counts",
     "run_frontier",
     "check_frontier",

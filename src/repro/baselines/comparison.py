@@ -19,11 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 
+from repro.analysis.frontier import InboxTally
 from repro.analysis.store import LogStore
 from repro.baselines.naive_bayes import ClassifierScore
 from repro.core.filters.content import NaiveBayesFilter
 from repro.core.message import MessageKind
-from repro.core.spools import Category
 from repro.util.render import TextTable
 from repro.util.stats import safe_ratio
 
@@ -60,8 +60,7 @@ def compare_defences(
     iterator (``islice`` for the training prefix, the remainder for the
     evaluation), never sliced — on a spilled or sharded store a slice
     would materialise every chunk back into memory, defeating the
-    bounded-memory store. The release-id set is the only per-run state
-    kept (releases are a tiny fraction of dispatches).
+    bounded-memory store.
     """
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must be in (0, 1)")
@@ -72,10 +71,8 @@ def compare_defences(
     bayes = NaiveBayesFilter()
     bayes.train_from_records(islice(records, split))
 
-    released = {r.msg_id for r in store.releases}
+    inbox = InboxTally(store)
     tp = fp = tn = fn = 0
-    spam_total = legit_total = 0
-    spam_delivered = legit_lost = 0
     for record in records:
         is_spam = record.kind is MessageKind.SPAM
         # Bayes confusion counts (what score_classifier would tally).
@@ -88,32 +85,13 @@ def compare_defences(
             fp += 1
         else:
             tn += 1
-        # CR verdict: what actually reached the inbox.
-        quarantined = (
-            record.category is Category.GRAY and record.filter_drop is None
-        )
-        delivered = (
-            record.category is Category.WHITE
-            or (quarantined and record.msg_id in released)
-        )
-        if is_spam:
-            spam_total += 1
-            if delivered:
-                spam_delivered += 1
-        elif record.kind is MessageKind.LEGIT and record.env_from:
-            # Newsletters/marketing are excluded (whether bulk mail is
-            # "wanted" is user-specific), and so are null-sender bounce
-            # notifications (quarantined by design, not person-to-person
-            # mail): the paper's FP discussion is about real correspondents.
-            legit_total += 1
-            if not delivered:
-                legit_lost += 1
+        inbox.add(record)
     return DefenceComparison(
         bayes=ClassifierScore(tp, fp, tn, fn),
-        cr_spam_total=spam_total,
-        cr_spam_delivered=spam_delivered,
-        cr_legit_total=legit_total,
-        cr_legit_lost=legit_lost,
+        cr_spam_total=inbox.spam_total,
+        cr_spam_delivered=inbox.spam_delivered,
+        cr_legit_total=inbox.legit_total,
+        cr_legit_lost=inbox.legit_lost,
         train_fraction=train_fraction,
     )
 

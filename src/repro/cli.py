@@ -10,6 +10,8 @@ Commands:
 * ``serve`` — run the live asyncio SMTP/HTTP frontend over a simulated
   deployment (WAL-durable, backpressured; see DESIGN.md §15);
 * ``sstress`` — open-loop load generator against a running ``serve``;
+* ``gate`` — run one conservation gate (:mod:`repro.gates`), the checks
+  CI runs; exit 1 on any failure;
 * ``scenarios`` — list the declarative attack-scenario pack;
 * ``list`` — list available experiments, scale presets and scenarios.
 
@@ -243,6 +245,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the JSON report to PATH",
     )
 
+    gate_parser = subparsers.add_parser(
+        "gate", help="run one conservation gate; exit 1 on any failure"
+    )
+    gate_parser.add_argument("name", help="gate to run; a wrong name lists them")
+
     subparsers.add_parser(
         "scenarios", help="list the declarative attack-scenario pack"
     )
@@ -358,8 +365,10 @@ def _add_sim_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _spec_from_args(args: argparse.Namespace, **fields) -> RunSpec:
-    """The :class:`RunSpec` the shared simulation flags describe."""
+def _spec_from_args(args: argparse.Namespace) -> RunSpec:
+    """The :class:`RunSpec` the simulation flags describe (``sweep`` has
+    no --checkpoint-every or --shards)."""
+    every = getattr(args, "checkpoint_every", None)
     return RunSpec(
         preset=args.preset,
         seed=args.seed,
@@ -368,7 +377,9 @@ def _spec_from_args(args: argparse.Namespace, **fields) -> RunSpec:
         crashes=args.crashes,
         scenario=args.scenario,
         chain=args.filters,
-        **fields,
+        # The CLI speaks days; the engine sim-seconds.
+        checkpoint_every=None if every is None else every * DAY,
+        shards=getattr(args, "shards", None),
     )
 
 
@@ -377,17 +388,14 @@ def _load_or_run(args: argparse.Namespace):
         from repro.analysis.persistence import load_run
 
         return load_run(args.load)
-    checkpoint_every = args.checkpoint_every
+    spec = _spec_from_args(args)
     checkpoint_dir = args.checkpoint_dir
-    if checkpoint_every is not None:
-        checkpoint_every *= DAY  # CLI speaks days; the engine sim-seconds
+    if spec.checkpoint_every is not None:
         checkpoint_dir = checkpoint_dir or DEFAULT_CLI_CHECKPOINT_DIR
     # For sharded runs --resume-from names the checkpoint *root* (each
     # shard resumes from its own shard-<k>/ subdirectory).
     return run(
-        _spec_from_args(
-            args, checkpoint_every=checkpoint_every, shards=args.shards
-        ),
+        spec,
         checkpoint_dir=checkpoint_dir,
         resume_from=args.resume_from,
         shard_jobs=args.shard_jobs,
@@ -568,6 +576,18 @@ def _command_sstress(args: argparse.Namespace) -> int:
     return 0
 
 
+def _command_gate(args: argparse.Namespace) -> int:
+    from repro.gates import GATES, run_gate
+
+    if args.name not in GATES:
+        print(
+            f"unknown gate: {args.name}; known: {', '.join(GATES)}",
+            file=sys.stderr,
+        )
+        return 2
+    return run_gate(args.name)
+
+
 def _command_scenarios(_args: argparse.Namespace) -> int:
     from repro.scenarios import load_scenario, scenario_dir, scenario_names
 
@@ -633,6 +653,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _command_serve(args)
         if args.command == "sstress":
             return _command_sstress(args)
+        if args.command == "gate":
+            return _command_gate(args)
         if args.command == "scenarios":
             return _command_scenarios(args)
         if args.command == "list":

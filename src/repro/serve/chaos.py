@@ -16,8 +16,8 @@ the conservation contract against ``/stats``:
 
 A final graceful SIGTERM checks the other half of the story: clean
 drain, exit code 0, shutdown reconciliation printed and conserved. The
-harness is a library so the pytest suite and ``scripts/serve_smoke.py``
-run the identical logic; only the knob values differ.
+harness is a library so the pytest suite and the ``serve`` gate run the
+identical logic; only the knob values differ.
 """
 
 from __future__ import annotations

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _spec_from_args, build_parser, main
+from repro.experiments.runner import RunSpec
+from repro.util.simtime import DAY
 
 
 class TestParser:
@@ -20,6 +22,23 @@ class TestParser:
         args = build_parser().parse_args(["run"])
         assert args.preset == "tiny"
         assert args.seed == 7
+
+    def test_sim_flags_map_to_run_spec(self):
+        args = build_parser().parse_args([
+            "run", "--preset", "small", "--seed", "11",
+            "--faults", "stormy", "--crashes", "flaky", "--audit",
+            "--scenario", "captcha-farm", "--filters", "hybrid",
+            "--checkpoint-every", "5", "--shards", "2",
+        ])
+        assert _spec_from_args(args) == RunSpec(
+            preset="small", seed=11, faults="stormy", crashes="flaky",
+            audit=True, scenario="captcha-farm", chain="hybrid",
+            checkpoint_every=5 * DAY, shards=2,
+        )
+
+    def test_sweep_flags_map_to_run_spec(self):
+        args = build_parser().parse_args(["sweep", "--audit"])
+        assert _spec_from_args(args) == RunSpec(preset="tiny", seed=3, audit=True)
 
 
 class TestCommands:
@@ -48,6 +67,37 @@ class TestCommands:
     def test_experiment_unknown_id(self, capsys):
         assert main(["experiment", "fig99"]) == 2
         assert "unknown experiment" in capsys.readouterr().err
+
+    def test_run_sharded_prints_each_shard(self, capsys):
+        assert main(["run", "--preset", "tiny", "--seed", "7",
+                     "--shards", "2", "--shard-jobs", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "  shard 0: " in out
+        assert "  shard 1: " in out
+
+    def test_unknown_gate_lists_the_gates(self, capsys):
+        assert main(["gate", "nope"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown gate: nope" in err
+        assert "fault, audit, crash, shard, scenario, frontier, serve" in err
+
+    def test_cli_import_leaves_gates_unloaded(self):
+        """`repro gate` imports repro.gates lazily: the CLI's start-up
+        cost (the live benchmark's setup) must not grow with it."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        probe = "import sys, repro.cli; print('repro.gates' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        ).stdout
+        assert out.strip() == "False"
 
     def test_experiment_multiple(self, capsys):
         assert main(["experiment", "fig1", "sec31", "--seed", "3"]) == 0

@@ -95,7 +95,7 @@ class TestRegistry:
 
     # frontier is excluded: its renderer is a cross-run sweep (120 tiny
     # simulations), far too heavy for tier-1 — tests/test_frontier.py
-    # covers its rendering on stubbed runs, CI's frontier-smoke the rest.
+    # covers its rendering on stubbed runs, the frontier gate the rest.
     @pytest.mark.parametrize(
         "exp_id", sorted(set(EXPERIMENTS) - {"frontier"})
     )

@@ -1,9 +1,9 @@
 """In-suite chaos and load-generator tests.
 
-A trimmed version of the CI ``serve-smoke`` gate (2 kill -9 injections
-instead of 20, small bursts) so the zero-loss machinery is exercised on
-every test run, not only in the dedicated workflow job. The full-size
-gate lives in ``scripts/serve_smoke.py``.
+A trimmed version of the ``serve`` gate (2 kill -9 injections instead
+of 20, small bursts) so the zero-loss machinery is exercised on every
+test run, not only in CI. The full-size gate is
+``python -m repro gate serve`` (:mod:`repro.gates`).
 """
 
 from __future__ import annotations
