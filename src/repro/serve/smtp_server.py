@@ -1,14 +1,29 @@
 """The asyncio SMTP listener: live RFC-5321 sessions into the engine.
 
-One coroutine per connection runs the EHLO/MAIL/RCPT/DATA state machine,
+Each connection is one :class:`SmtpSession`, an :class:`asyncio.Protocol`
+on a ``loop.create_server`` listener. ``data_received`` frames lines out
+of the session's own buffer and runs the EHLO/MAIL/RCPT/DATA state
+machine synchronously, so a command line costs no Task, no timer and no
+future; replies go straight to ``transport.write``. The parser is
 CRLF-strict (a bare LF in a command line is a 500, exactly the kind of
-input the simulator never generates), with three defensive budgets:
+input the simulator never generates), and a command line longer than
+:data:`MAX_COMMAND_LINE` is discarded through its LF and answered with
+one 500. Three defensive budgets hold:
 
-* per-phase read deadlines (a stalled client gets a 421 and the socket
-  closed, so slowloris cannot pin worker state),
-* a per-connection session budget,
+* per-phase deadlines (next command line, next DATA body line, engine
+  verdict): a stalled client gets a 421 and the socket closed, so
+  slowloris cannot pin worker state; a verdict that misses its deadline
+  is a 421 and the session carries on,
+* a per-connection session budget (421, then close),
 * a maximum message size enforced *while* reading DATA (an oversized
-  message is drained and refused with 552, not buffered).
+  message is drained and refused with 552, not buffered). Body lines of
+  any length count toward it, and none is ever held whole.
+
+All of a session's deadlines share one ``TimerHandle``. Each line or
+phase only moves a ``due`` time forward, and the handle fires at the
+earliest of ``due``, the session budget and one shortest deadline from
+when it was armed, then re-arms itself, so no deadline can come due
+before the handle fires and nothing is rescheduled per line.
 
 Envelope addresses are validated with the same
 :func:`repro.net.addresses.is_well_formed` the simulated MTA uses — the
@@ -16,7 +31,10 @@ live and simulated parsers cannot drift apart because they are the same
 function. The DATA acknowledgement comes from
 :meth:`~repro.serve.service.LiveCrService.try_submit`: 421 when the
 admission queue refuses, otherwise whatever the engine decided *after*
-the record hit the fsynced WAL.
+the record hit the fsynced WAL, written from the future's done-callback.
+While a verdict is pending, later pipelined lines wait in the buffer,
+and reading pauses once they exceed the line cap; reading also pauses
+while the transport's write buffer is over its high-water mark.
 """
 
 from __future__ import annotations
@@ -53,10 +71,13 @@ _TEXT = {
     Reply.DNS_TEMPFAIL: "sender domain lookup deferred",
     TOO_MANY_RCPTS: "too many recipients",
 }
+_REPLIES = {code: f"{code} {text}\r\n".encode("ascii") for code, text in _TEXT.items()}
+_EHLO_REPLY = f"{Reply.OK} repro-cr at your service\r\n".encode("ascii")
 
 
 class SmtpFrontend:
-    """Owns the listening socket and the per-session protocol loops."""
+    """Owns the listening socket; each accepted connection is one
+    :class:`SmtpSession`."""
 
     def __init__(
         self,
@@ -82,8 +103,9 @@ class SmtpFrontend:
         self._server: Optional[asyncio.AbstractServer] = None
 
     async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._handle, self.host, self.port, limit=MAX_COMMAND_LINE * 4
+        loop = asyncio.get_running_loop()
+        self._server = await loop.create_server(
+            lambda: SmtpSession(self), self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
 
@@ -93,200 +115,299 @@ class SmtpFrontend:
             await self._server.wait_closed()
             self._server = None
 
-    # -- session ------------------------------------------------------------
 
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+class SmtpSession(asyncio.Protocol):
+    """One SMTP connection. Limits and deadlines are read from the
+    frontend when the connection opens."""
+
+    def __init__(self, frontend: SmtpFrontend) -> None:
+        self.service = frontend.service
+        self.max_message_bytes = frontend.max_message_bytes
+        self.command_deadline = frontend.command_deadline
+        self.data_deadline = frontend.data_deadline
+        self.session_deadline = frontend.session_deadline
+        self.reply_deadline = frontend.reply_deadline
+        #: No deadline is shorter, so arming at most this far ahead means
+        #: a ``due`` moved forward can never fall before the armed timer.
+        self.tick = min(self.command_deadline, self.data_deadline, self.reply_deadline)
+        self.loop = asyncio.get_running_loop()
+        self.transport: Optional[asyncio.Transport] = None
+        self.client_ip = ""
+        self.buffer = bytearray()
+        self.greeted = False
+        self.mail_from: Optional[str] = None
+        self.rcpt_to: Optional[str] = None
+        self.syntax_errors = 0
+        #: Inside a command line already longer than MAX_COMMAND_LINE.
+        self.discarding = False
+        # DATA phase.
+        self.in_data = False
+        self.line_start = True
+        self.in_headers = True
+        self.size = 0
+        self.subject = ""
+        #: The engine verdict this session's next reply waits for.
+        self.pending: Optional[asyncio.Future] = None
+        self.write_paused = False
+        self.read_paused = False
+        self.eof = False
+        self.closed = False
+        self.timer: Optional[asyncio.TimerHandle] = None
+        self.due = self.session_due = 0.0
+
+    # -- transport callbacks ------------------------------------------------
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport
         stats = self.service.stats
         stats.sessions += 1
         stats.sessions_open += 1
-        try:
-            await asyncio.wait_for(
-                self._session(reader, writer), self.session_deadline
-            )
-        except (asyncio.TimeoutError, ConnectionError, asyncio.IncompleteReadError):
-            # Session budget exhausted or the peer vanished; one best-effort
-            # 421 and the socket goes away.
-            try:
-                self._reply(writer, Reply.SERVICE_UNAVAILABLE)
-                await writer.drain()
-            except (ConnectionError, RuntimeError):
-                pass
-        finally:
-            stats.sessions_open -= 1
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, BrokenPipeError):
-                pass
+        peer = transport.get_extra_info("peername")
+        self.client_ip = peer[0] if peer else ""
+        now = self.loop.time()
+        self.session_due = now + self.session_deadline
+        self.due = now + self.command_deadline
+        self._arm(now)
+        self._reply(Reply.SERVICE_READY)
 
-    async def _session(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        peer = writer.get_extra_info("peername")
-        client_ip = peer[0] if peer else ""
-        self._reply(writer, Reply.SERVICE_READY)
-        await writer.drain()
+    def data_received(self, data: bytes) -> None:
+        self.buffer += data
+        self._process()
 
-        greeted = False
-        mail_from: Optional[str] = None
-        rcpt_to: Optional[str] = None
-        syntax_errors = 0
+    def eof_received(self) -> bool:
+        self.eof = True
+        self._process()
+        # Keep the write side open for a verdict still owed to the peer.
+        return True
 
-        while True:
-            line = await self._read_line(reader, self.command_deadline)
-            if line is None:
-                return  # peer closed or CRLF violation already answered
-            if isinstance(line, int):
-                self._reply(writer, line)
-                await writer.drain()
-                syntax_errors += 1
-                if syntax_errors > MAX_SYNTAX_ERRORS:
-                    return
-                continue
-            verb, _, argument = line.partition(" ")
-            verb = verb.upper()
-            argument = argument.strip()
+    def pause_writing(self) -> None:
+        self.write_paused = True
 
-            if verb in ("EHLO", "HELO"):
-                greeted = True
-                mail_from = rcpt_to = None
-                self._reply(writer, Reply.OK, "repro-cr at your service")
-            elif verb == "NOOP":
-                self._reply(writer, Reply.OK)
-            elif verb == "RSET":
-                mail_from = rcpt_to = None
-                self._reply(writer, Reply.OK)
-            elif verb == "QUIT":
-                self._reply(writer, Reply.CLOSING)
-                await writer.drain()
-                return
-            elif verb == "MAIL":
-                if not greeted or mail_from is not None:
-                    self._reply(writer, Reply.BAD_SEQUENCE)
-                else:
-                    address = _parse_path(argument, "FROM")
-                    if address is None:
-                        self.service.stats.malformed += 1
-                        self._reply(writer, Reply.PARAM_SYNTAX)
-                    elif address != "" and not is_well_formed(address):
-                        self.service.stats.malformed += 1
-                        self._reply(writer, Reply.PARAM_SYNTAX)
+    def resume_writing(self) -> None:
+        self.write_paused = False
+        self._process()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._stop()
+        self.service.stats.sessions_open -= 1
+
+    # -- framing ------------------------------------------------------------
+
+    def _process(self) -> None:
+        """Run every complete line the buffer holds, as far as the session
+        may go before a verdict or a write-side stall."""
+        buffer = self.buffer
+        while not (self.closed or self.pending is not None or self.write_paused):
+            end = buffer.find(b"\n")
+            if end < 0:
+                if len(buffer) > MAX_COMMAND_LINE:
+                    if self.in_data:
+                        self._body(buffer[:], complete=False)
                     else:
-                        mail_from = address
-                        self._reply(writer, Reply.OK)
-            elif verb == "RCPT":
-                if mail_from is None:
-                    self._reply(writer, Reply.BAD_SEQUENCE)
-                elif rcpt_to is not None:
-                    self._reply(writer, TOO_MANY_RCPTS)
-                else:
-                    address = _parse_path(argument, "TO")
-                    if address is None or not is_well_formed(address):
-                        self.service.stats.malformed += 1
-                        self._reply(writer, Reply.PARAM_SYNTAX)
-                    elif self.service.route(address) is None:
-                        self.service.stats.unrouted_rcpts += 1
-                        self._reply(writer, Reply.MAILBOX_UNAVAILABLE)
-                    else:
-                        rcpt_to = address
-                        self._reply(writer, Reply.OK)
-            elif verb == "DATA":
-                if mail_from is None or rcpt_to is None:
-                    self._reply(writer, Reply.BAD_SEQUENCE)
-                else:
-                    code = await self._data(
-                        reader, writer, mail_from, rcpt_to, client_ip
-                    )
-                    self._reply(writer, code)
-                    mail_from = rcpt_to = None
-            else:
-                syntax_errors += 1
-                self._reply(writer, Reply.SYNTAX_ERROR)
-                if syntax_errors > MAX_SYNTAX_ERRORS:
-                    await writer.drain()
-                    return
-            await writer.drain()
-
-    async def _data(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        mail_from: str,
-        rcpt_to: str,
-        client_ip: str,
-    ) -> int:
-        self._reply(writer, Reply.START_MAIL_INPUT)
-        await writer.drain()
-        size = 0
-        subject = ""
-        in_headers = True
-        oversized = False
-        while True:
-            raw = await asyncio.wait_for(
-                reader.readuntil(b"\n"), self.data_deadline
-            )
-            if raw == b".\r\n":
+                        self.discarding = True
+                    buffer.clear()
                 break
+            line = buffer[: end + 1]
+            del buffer[: end + 1]
+            if self.in_data:
+                self._body(line, complete=True)
+            else:
+                self._command(line)
+        if self.closed:
+            return
+        blocked = self.pending is not None or self.write_paused
+        if blocked:
+            if len(buffer) > MAX_COMMAND_LINE and not self.read_paused:
+                self.read_paused = True
+                self.transport.pause_reading()
+        else:
+            if self.read_paused:
+                self.read_paused = False
+                self.transport.resume_reading()
+            if self.eof:
+                # The peer is gone; a half-read message is never acked.
+                if self.in_data:
+                    self._reply(Reply.SERVICE_UNAVAILABLE)
+                self._close()
+
+    # -- the command state machine -------------------------------------------
+
+    def _command(self, raw: bytearray) -> None:
+        now = self.loop.time()
+        self.due = now + self.command_deadline
+        if self.discarding:
+            self.discarding = False
+            self._syntax_error()
+            return
+        if len(raw) > MAX_COMMAND_LINE or not raw.endswith(b"\r\n"):
+            self._syntax_error()  # overlong, or a bare LF: CRLF-strict
+            return
+        try:
+            line = raw[:-2].decode("ascii")
+        except UnicodeDecodeError:
+            self._syntax_error()
+            return
+        verb, _, argument = line.partition(" ")
+        verb = verb.upper()
+        argument = argument.strip()
+
+        if verb in ("EHLO", "HELO"):
+            self.greeted = True
+            self.mail_from = self.rcpt_to = None
+            self.transport.write(_EHLO_REPLY)
+        elif verb == "NOOP":
+            self._reply(Reply.OK)
+        elif verb == "RSET":
+            self.mail_from = self.rcpt_to = None
+            self._reply(Reply.OK)
+        elif verb == "QUIT":
+            self._reply(Reply.CLOSING)
+            self._close()
+        elif verb == "MAIL":
+            if not self.greeted or self.mail_from is not None:
+                self._reply(Reply.BAD_SEQUENCE)
+                return
+            address = _parse_path(argument, "FROM")
+            if address is None or (address != "" and not is_well_formed(address)):
+                self.service.stats.malformed += 1
+                self._reply(Reply.PARAM_SYNTAX)
+            else:
+                self.mail_from = address
+                self._reply(Reply.OK)
+        elif verb == "RCPT":
+            if self.mail_from is None:
+                self._reply(Reply.BAD_SEQUENCE)
+                return
+            if self.rcpt_to is not None:
+                self._reply(TOO_MANY_RCPTS)
+                return
+            address = _parse_path(argument, "TO")
+            if address is None or not is_well_formed(address):
+                self.service.stats.malformed += 1
+                self._reply(Reply.PARAM_SYNTAX)
+            elif self.service.route(address) is None:
+                self.service.stats.unrouted_rcpts += 1
+                self._reply(Reply.MAILBOX_UNAVAILABLE)
+            else:
+                self.rcpt_to = address
+                self._reply(Reply.OK)
+        elif verb == "DATA":
+            if self.mail_from is None or self.rcpt_to is None:
+                self._reply(Reply.BAD_SEQUENCE)
+                return
+            self.in_data = True
+            self.line_start = self.in_headers = True
+            self.size = 0
+            self.subject = ""
+            self.due = now + self.data_deadline
+            self._reply(Reply.START_MAIL_INPUT)
+        else:
+            self._syntax_error()
+
+    def _syntax_error(self) -> None:
+        self.syntax_errors += 1
+        self._reply(Reply.SYNTAX_ERROR)
+        if self.syntax_errors > MAX_SYNTAX_ERRORS:
+            self._close()
+
+    # -- DATA -----------------------------------------------------------------
+
+    def _body(self, raw: bytearray, complete: bool) -> None:
+        """One body line, or (``complete=False``) the head or a middle
+        piece of a line longer than the line cap."""
+        self.due = self.loop.time() + self.data_deadline
+        line_start = self.line_start
+        self.line_start = complete
+        if line_start:
+            if raw == b".\r\n":
+                self._end_data()
+                return
             if raw.startswith(b".."):
                 raw = raw[1:]  # dot-unstuffing
-            size += len(raw)
-            if size > self.max_message_bytes:
-                oversized = True  # keep draining to the terminating dot
-            if in_headers and not oversized:
-                stripped = raw.rstrip(b"\r\n")
-                if not stripped:
-                    in_headers = False
-                elif stripped.lower().startswith(b"subject:"):
-                    subject = stripped[8:].strip().decode("utf-8", "replace")[:200]
-        if oversized:
-            return Reply.CONTENT_REJECTED
-        record = {
-            "kind": "mail",
-            "mail_from": mail_from,
-            "rcpt_to": rcpt_to,
-            "size": size,
-            "client_ip": client_ip,
-            "subject": subject,
-        }
-        future = self.service.try_submit(record)
+        self.size += len(raw)
+        if line_start and self.in_headers and self.size <= self.max_message_bytes:
+            stripped = raw.rstrip(b"\r\n")
+            if not stripped:
+                self.in_headers = False
+            elif stripped[:8].lower() == b"subject:":
+                self.subject = stripped[8:].strip().decode("utf-8", "replace")[:200]
+
+    def _end_data(self) -> None:
+        self.in_data = False
+        mail_from, rcpt_to = self.mail_from, self.rcpt_to
+        self.mail_from = self.rcpt_to = None
+        if self.size > self.max_message_bytes:
+            self._reply(Reply.CONTENT_REJECTED)
+            return
+        future = self.service.try_submit(
+            {
+                "kind": "mail",
+                "mail_from": mail_from,
+                "rcpt_to": rcpt_to,
+                "size": self.size,
+                "client_ip": self.client_ip,
+                "subject": self.subject,
+            }
+        )
         if future is None:
-            return Reply.SERVICE_UNAVAILABLE
-        try:
-            return await asyncio.wait_for(future, self.reply_deadline)
-        except asyncio.TimeoutError:
+            self._reply(Reply.SERVICE_UNAVAILABLE)
+            return
+        self.pending = future
+        self.due = self.loop.time() + self.reply_deadline
+        future.add_done_callback(self._verdict)
+
+    def _verdict(self, future: asyncio.Future) -> None:
+        if future is not self.pending:
+            return  # already answered 421 at the reply deadline, or closed
+        self.pending = None
+        self.due = self.loop.time() + self.command_deadline
+        self._reply(future.result())
+        self._process()
+
+    # -- deadlines ----------------------------------------------------------------
+
+    def _arm(self, now: float) -> None:
+        self.timer = self.loop.call_at(
+            min(self.due, self.session_due, now + self.tick), self._on_timer
+        )
+
+    def _on_timer(self) -> None:
+        self.timer = None
+        now = self.loop.time()
+        if now >= self.session_due or (now >= self.due and self.pending is None):
+            # Budget spent or the peer stalled: one 421 and the socket goes.
+            self._reply(Reply.SERVICE_UNAVAILABLE)
+            self._close()
+            return
+        if now >= self.due:
             # The record may still land (it is queued); the client retries
             # against the at-least-once contract.
             self.service.stats.refused_deadline += 1
-            return Reply.SERVICE_UNAVAILABLE
+            self.pending = None
+            self.due = now + self.command_deadline
+            self._reply(Reply.SERVICE_UNAVAILABLE)
+            self._process()
+            if self.closed:
+                return
+        self._arm(now)
 
-    async def _read_line(self, reader: asyncio.StreamReader, deadline: float):
-        """One CRLF-terminated command line, decoded.
+    # -- output -------------------------------------------------------------------
 
-        Returns the string without its CRLF, an ``int`` reply code for a
-        protocol violation the caller should send (bare LF, overlong
-        line), or ``None`` when the connection ended."""
-        try:
-            raw = await asyncio.wait_for(reader.readuntil(b"\n"), deadline)
-        except asyncio.IncompleteReadError:
-            return None
-        except asyncio.LimitOverrunError:
-            return Reply.SYNTAX_ERROR
-        if not raw.endswith(b"\r\n"):
-            return Reply.SYNTAX_ERROR  # bare LF: CRLF-strict
-        if len(raw) > MAX_COMMAND_LINE:
-            return Reply.SYNTAX_ERROR
-        try:
-            return raw[:-2].decode("ascii")
-        except UnicodeDecodeError:
-            return Reply.SYNTAX_ERROR
+    def _reply(self, code: int) -> None:
+        self.transport.write(_REPLIES.get(code) or f"{code} \r\n".encode("ascii"))
 
-    def _reply(
-        self, writer: asyncio.StreamWriter, code: int, text: Optional[str] = None
-    ) -> None:
-        message = text if text is not None else _TEXT.get(code, "")
-        writer.write(f"{code} {message}\r\n".encode("ascii"))
+    def _close(self) -> None:
+        """Flush what was written, then close; ``connection_lost`` follows."""
+        self._stop()
+        self.transport.close()
+
+    def _stop(self) -> None:
+        """No more replies: a verdict still owed is dropped with the timer."""
+        self.closed = True
+        self.pending = None
+        if self.timer is not None:
+            self.timer.cancel()
+            self.timer = None
 
 
 def _parse_path(argument: str, keyword: str) -> Optional[str]:
@@ -307,4 +428,4 @@ def _parse_path(argument: str, keyword: str) -> Optional[str]:
     return rest[1:end]
 
 
-__all__ = ["SmtpFrontend", "DEFAULT_MAX_MESSAGE_BYTES", "MAX_COMMAND_LINE"]
+__all__ = ["SmtpFrontend", "SmtpSession", "DEFAULT_MAX_MESSAGE_BYTES", "MAX_COMMAND_LINE"]

@@ -4,13 +4,16 @@ The suite runs without pytest-asyncio: each test is a plain function
 that drives its own ``asyncio.run``. A :class:`LiveCrService` binds its
 queue and futures to the loop that first touches them, so services are
 always built *inside* the coroutine under test — :func:`live_stack`
-packages that, plus both frontends, as an async context manager.
+packages that, plus both frontends, as an async context manager. It
+also fails the test when the loop reported any callback or task
+exception, so an error a frontend swallows cannot pass silently.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
+import gc
 import json
 from typing import Optional, Sequence, Tuple
 
@@ -23,6 +26,10 @@ from repro.serve.web import WebFrontend
 async def live_stack(tmp_path, **service_kwargs):
     """A recovered, started service with SMTP and web frontends bound to
     OS-assigned loopback ports. Yields ``(service, smtp, web)``."""
+    loop = asyncio.get_running_loop()
+    reported = []
+    previous_handler = loop.get_exception_handler()
+    loop.set_exception_handler(lambda _loop, context: reported.append(context))
     service_kwargs.setdefault("time_scale", 200.0)
     service_kwargs.setdefault("wal_path", str(tmp_path / "serve.wal"))
     service = LiveCrService(**service_kwargs)
@@ -38,6 +45,10 @@ async def live_stack(tmp_path, **service_kwargs):
         await smtp.close()
         await web.close()
         await service.close()
+        # A task's unretrieved exception is reported when it is collected.
+        gc.collect()
+        loop.set_exception_handler(previous_handler)
+    assert not reported, f"event loop reported exceptions: {reported}"
 
 
 class SmtpClient:

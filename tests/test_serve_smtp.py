@@ -11,6 +11,7 @@ from __future__ import annotations
 import asyncio
 
 from repro.net.addresses import MAX_LOCAL_LENGTH
+from repro.serve.wal import scan_payloads
 from tests.serve_harness import SmtpClient, ehlo_client, live_stack, pick_targets
 
 
@@ -191,5 +192,116 @@ def test_every_250_is_durable_before_reply(tmp_path):
                     assert len(records) >= acked
             await client.quit()
             assert acked == 10
+
+    asyncio.run(scenario())
+
+
+async def _open_data(client: SmtpClient, sender: str, rcpt: str) -> None:
+    for command, expect in ((f"MAIL FROM:<{sender}>", 250), (f"RCPT TO:<{rcpt}>", 250), ("DATA", 354)):
+        assert await client.code(command) == expect
+
+
+def test_long_body_line_counts_toward_size(tmp_path):
+    """A body line longer than any read buffer is counted, not a dropped
+    session: 250 with its full size journaled under the cap, 552 past it."""
+
+    async def scenario():
+        async with live_stack(tmp_path) as (service, smtp, _web):
+            smtp.max_message_bytes = 8000
+            sender, users = pick_targets(service)
+            client = await ehlo_client(smtp.port)
+            head = b"Subject: long\r\n\r\n"
+            long_line = b"z" * 5000 + b"\r\n"
+            for copies, expect in ((1, "250 "), (2, "552 ")):
+                await _open_data(client, sender, users[0])
+                await client.send_raw(head + long_line * copies + b".\r\n")
+                assert (await client.readline()).startswith(expect)
+            await client.quit()
+            records, _ = scan_payloads(service.wal.path)
+            assert [(r["subject"], r["size"]) for r in records] == [
+                ("long", len(head) + len(long_line))
+            ]
+
+    asyncio.run(scenario())
+
+
+def test_overlong_command_line_gets_one_500(tmp_path):
+    async def scenario():
+        async with live_stack(tmp_path) as (_service, smtp, _web):
+            client = await ehlo_client(smtp.port)
+            await client.send_raw(b"NOOP " + b"x" * 5000 + b"\r\n")
+            assert (await client.readline()).startswith("500 ")
+            assert await client.code("NOOP") == 250
+            await client.quit()
+
+    asyncio.run(scenario())
+
+
+def test_silent_client_gets_421_then_eof(tmp_path):
+    async def scenario():
+        async with live_stack(tmp_path) as (_service, smtp, _web):
+            smtp.command_deadline = 0.2
+            client = SmtpClient(smtp.port)
+            await client.connect()
+            assert (await client.readline()).startswith("421 ")
+            assert await client.reader.read() == b""
+            client.close()
+
+    asyncio.run(scenario())
+
+
+def test_client_stalled_mid_data_gets_421_and_no_record(tmp_path):
+    async def scenario():
+        async with live_stack(tmp_path) as (service, smtp, _web):
+            smtp.data_deadline = 0.2
+            sender, users = pick_targets(service)
+            client = await ehlo_client(smtp.port)
+            await _open_data(client, sender, users[0])
+            await client.send_raw(b"Subject: stalled\r\n")
+            assert (await client.readline()).startswith("421 ")
+            assert await client.reader.read() == b""
+            client.close()
+            assert service.wal.appended_seq == 0
+
+    asyncio.run(scenario())
+
+
+def test_late_verdict_is_421_and_session_continues(tmp_path):
+    """The worker sleeps ``engine_delay`` after each batch, so the second
+    of two back-to-back messages waits past ``reply_deadline``."""
+
+    async def scenario():
+        async with live_stack(tmp_path, engine_delay=0.6) as (service, smtp, _web):
+            smtp.reply_deadline = 0.25
+            sender, users = pick_targets(service)
+            client = await ehlo_client(smtp.port)
+            assert await client.send_message(sender, users[0]) == 250
+            assert await client.send_message(sender, users[1]) == 421
+            assert service.stats.refused_deadline == 1
+            assert await client.code("NOOP") == 250
+            # The late verdict lands without a stray reply on the wire.
+            await asyncio.sleep(0.6)
+            assert await client.code("DATA") == 503
+            await client.quit()
+
+    asyncio.run(scenario())
+
+
+def test_session_deadline_caps_a_chatty_client(tmp_path):
+    async def scenario():
+        async with live_stack(tmp_path) as (_service, smtp, _web):
+            smtp.session_deadline = 0.4
+            client = await ehlo_client(smtp.port)
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            noops = 0
+            while (reply := await client.command("NOOP")).startswith("250 "):
+                noops += 1
+                await asyncio.sleep(0.05)
+            assert reply.startswith("421 ")
+            assert noops >= 2
+            assert loop.time() - started < 2.0
+            assert await client.reader.read() == b""
+            client.close()
 
     asyncio.run(scenario())
